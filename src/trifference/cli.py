@@ -17,6 +17,12 @@ from . import bounds, constructions, core, graphs, search
 SCHEMA = 1
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if getattr(args, "output", None):
@@ -341,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check trifference, exit 1 with a witness on failure")
     p.add_argument("code")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_verify)

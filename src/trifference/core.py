@@ -1,15 +1,19 @@
 """Ternary codewords held as bitplanes, trifference checks, and code transforms.
 
 A code C over {0,1,2} is trifferent when every triple of distinct codewords
-has a coordinate at which the three words take all three symbols.  Everything
-here is exact integer arithmetic on per-symbol bitmasks; the only floating
-point lives in the bounds module.
+has a coordinate at which the three words take all three symbols.  Codewords
+carry one integer bitmask per symbol.  The bulk kernels (the triple scan and
+shift sampling) instead multiply 0/1 symbol planes as float32 matrices.  They
+stay exact: every product term is 0 or 1, so each partial sum is an integer
+no larger than the number of terms, which is kept below 2**24 (see _planes).
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -110,10 +114,6 @@ class Codeword:
             mask2=int(rev.translate(_PLANE_TABLES[2]), 2),
         )
 
-    @classmethod
-    def from_symbols(cls, symbols) -> "Codeword":
-        return cls.from_string("".join(str(s) for s in symbols))
-
     @cached_property
     def string(self) -> str:
         chars = []
@@ -133,9 +133,6 @@ class Codeword:
         if not 0 <= i < self.n:
             raise ValueError(f"coordinate {i} out of range for length {self.n}")
         return ((self.mask1 >> i) & 1) + 2 * ((self.mask2 >> i) & 1)
-
-    def symbols(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.string)
 
     @property
     def count_twos(self) -> int:
@@ -255,53 +252,131 @@ def naive_trifferent_triple(x: Codeword, y: Codeword, z: Codeword) -> bool:
     )
 
 
-def _symbol_matrix(code: Code) -> np.ndarray:
-    rows = [np.frombuffer(w.string.encode("ascii"), dtype=np.uint8) for w in code]
-    return np.stack(rows) - ord("0")
+def _symbol_matrix(strings, n: int) -> np.ndarray:
+    """Words over 012, each n long, as a uint8 matrix of symbols, one row each.
+
+    A string may hold several words back to back.
+    """
+    flat = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
+    return flat.reshape(-1, n) - ord("0")
 
 
-def _scan_pair_range(
-    U: np.ndarray, i_lo: int, i_hi: int
+def _planes(U: np.ndarray, targets) -> np.ndarray:
+    """The 0/1 matrix [U == t_0 | U == t_1 | ...], one n-column plane per target.
+
+    A target is a symbol or a row of per-coordinate symbols.  Products of
+    these planes are integer counts; float32 keeps every partial sum exact
+    while the number of summed terms stays below 2**24.
+    """
+    rows, n = U.shape
+    dtype = np.float32 if n * len(targets) < 2**24 else np.float64
+    out = np.empty((rows, n * len(targets)), dtype=dtype)
+    for t, target in enumerate(targets):
+        np.equal(U, target, out=out[:, t * n : (t + 1) * n])
+    return out
+
+
+def _scan_rows(
+    U: np.ndarray, i_lo: int, i_hi: int, block: int = 128
 ) -> tuple[int, int, int] | None:
     """Lex-smallest violating triple (i, j, k) with i in [i_lo, i_hi), else None.
 
-    A triple violates trifference iff no coordinate separates all three words
-    pairwise, i.e. the AND of the three pairwise disagreement masks is zero.
+    For fixed i, let E and F mark where each later word holds U_i + 1 and
+    U_i + 2 (mod 3).  Then N = E F^T + F E^T counts, for each pair (j, k),
+    the coordinates at which i, j and k show all three symbols, and (i, j, k)
+    violates trifference exactly when N[j, k] = 0.  N is symmetric, so it is
+    built [E F] [F E]^T in row blocks that start at the diagonal and cover
+    the upper triangle.  Rows and blocks go in order, so the first zero found
+    above the diagonal is the lex-smallest witness.
     """
     m = U.shape[0]
-    diff = np.packbits(U[:, None, :] != U[None, :, :], axis=2)
     for i in range(i_lo, min(i_hi, m - 2)):
-        di = diff[i]
-        for j in range(i + 1, m - 1):
-            rows = di[j + 1 :] & diff[j, j + 1 :] & di[j]
-            bad = ~rows.any(axis=1)
-            if bad.any():
-                k = j + 1 + int(np.argmax(bad))
-                return (i, j, k)
+        later = U[i + 1 :]
+        up1, up2 = (U[i] + 1) % 3, (U[i] + 2) % 3
+        ef, fe = _planes(later, (up1, up2)), _planes(later, (up2, up1))
+        for a in range(0, len(later), block):
+            sep = ef[a : a + block] @ fe[a:].T  # N[a + s, a + t]
+            np.fill_diagonal(sep, 1)  # j = k is not a triple
+            if sep.min() == 0:
+                # a zero below the diagonal mirrors one above it in this block
+                bad = np.triu(sep == 0, 1)
+                s, t = divmod(int(np.argmax(bad)), bad.shape[1])
+                return (i, i + 1 + a + s, i + 1 + a + t)
     return None
+
+
+# Starting a worker process costs tens of milliseconds, so each must get at
+# least this much scan work (word pairs times coordinates, on the order of
+# 0.1 s of scanning); below that, fewer processes finish sooner.
+_MIN_PROCESS_WORK = 2 * 10**9
+
+
+def _scan_plan(m: int, n: int, workers: int, cpus: int) -> list[tuple[int, int]]:
+    """Split the rows i in [0, m - 2) into one range per worker process.
+
+    The ranges hold equal shares of the scan's work, which for row i grows
+    as (m - 1 - i)^2 * n.  There are at most min(workers, cpus, m - 2) of
+    them, and one unless each gets _MIN_PROCESS_WORK.
+    """
+    rows = m - 2
+    work = np.concatenate(([0], np.cumsum((m - 1 - np.arange(rows)) ** 2)))
+    parts = max(1, min(workers, cpus, rows, int(work[-1]) * n // _MIN_PROCESS_WORK))
+    cuts = np.searchsorted(work, [work[-1] * t // parts for t in range(1, parts)])
+    bounds = sorted({0, rows, *(int(c) for c in cuts)})
+    return list(zip(bounds, bounds[1:]))
+
+
+def _pin_blas_threads() -> None:
+    """Run the OpenBLAS that numpy loaded with one thread in this process.
+
+    Each worker process already owns a core; BLAS threads on top of the
+    workers would only oversubscribe them.  Best effort: where the loaded
+    libraries cannot be listed, BLAS keeps its default.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # numpy's bundled OpenBLAS, then a system OpenBLAS
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                set_num_threads = getattr(lib, name)
+                set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
+                set_num_threads(1)
+                break
 
 
 def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
     """Check every codeword triple; codes of size at most 2 pass vacuously.
 
-    The scan precomputes pairwise disagreement masks, so each triple costs two
-    word-ANDs; the witness, when present, is the lexicographically smallest
-    violating index triple into the sorted codeword list regardless of the
-    worker count.
+    The scan makes one matrix product per word (see _scan_rows), so memory
+    stays O(m*n + m^2) for m words of length n.  The witness, when present,
+    is the lexicographically smallest violating index triple into the sorted
+    codeword list regardless of the worker count.  With workers > 1 the rows
+    are split by work (_scan_plan) over at most min(workers, cpu count)
+    processes; small scans stay in this process.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     m = len(code)
     if m <= 2:
         return VerificationResult(TRIFFERENT, None)
-    U = _symbol_matrix(code)
-    if workers <= 1:
-        witness = _scan_pair_range(U, 0, m - 2)
+    U = _symbol_matrix(code.strings(), code.n)
+    plan = _scan_plan(m, code.n, workers, os.cpu_count() or 1)
+    if len(plan) == 1:
+        witness = _scan_rows(U, 0, m - 2)
     else:
-        bounds = [round(t * (m - 2) / workers) for t in range(workers + 1)]
-        chunks = [
-            (U, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi
-        ]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            found = [w for w in pool.map(_scan_pair_range, *zip(*chunks)) if w]
+        with ProcessPoolExecutor(
+            max_workers=len(plan), initializer=_pin_blas_threads
+        ) as pool:
+            lo, hi = zip(*plan)
+            found = [w for w in pool.map(_scan_rows, [U] * len(plan), lo, hi) if w]
         witness = min(found) if found else None
     if witness is None:
         return VerificationResult(TRIFFERENT, None)
@@ -336,14 +411,26 @@ def shift(code: Code, v: Codeword) -> Code:
     return Code(code.n, tuple(add_codewords(x, v) for x in code))
 
 
-def _shifted_two_count(x: Codeword, v: Codeword) -> int:
-    # two-plane of (x + v) without building the shifted word
-    return ((x.mask0 & v.mask2) | (x.mask1 & v.mask1) | (x.mask2 & v.mask0)).bit_count()
+# Shift vectors are counted in blocks of this many rows, which bounds the
+# count matrix at |C| x _SHIFT_BLOCK.
+_SHIFT_BLOCK = 1024
 
 
-def _all_words(n: int):
-    for tup in itertools.product("012", repeat=n):
-        yield Codeword.from_string("".join(tup))
+def _sampled_shifts(n: int, trials: int, rng: Random):
+    """Seeded shift vectors as uint8 symbol blocks, drawn in trial order."""
+    for done in range(0, trials, _SHIFT_BLOCK):
+        k = min(_SHIFT_BLOCK, trials - done)
+        # one call of k * n draws yields exactly what k calls of n draws do
+        yield _symbol_matrix(["".join(rng.choices("012", k=k * n))], n)
+
+
+def _all_shifts(n: int):
+    """All 3^n shift vectors as uint8 symbol blocks of at most 3^7 rows."""
+    t = min(n, 7)
+    tails = np.array(list(itertools.product(range(3), repeat=t)), dtype=np.uint8)
+    for head in itertools.product(range(3), repeat=n - t):
+        heads = np.broadcast_to(np.array(head, dtype=np.uint8), (len(tails), n - t))
+        yield np.hstack((heads, tails))
 
 
 @dataclass(frozen=True)
@@ -392,43 +479,29 @@ def shift_density_sample(
         )
     expectation = Fraction(count_A_r(n, r) * len(code), 3**n)
     if exhaustive:
-        total = 0
-        max_count = 0
-        n_shifts = 3**n
-        for v in _all_words(n):
-            c = sum(1 for x in code if _shifted_two_count(x, v) == r)
-            total += c
-            max_count = max(max_count, c)
-        return ShiftSampleStats(
-            n=n,
-            r=r,
-            code_size=len(code),
-            trials=n_shifts,
-            seed=None,
-            exhaustive=True,
-            mean_fraction=Fraction(total, n_shifts),
-            max_count=max_count,
-            expectation=expectation,
-        )
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if seed is None:
-        raise ValueError("sampling mode requires an explicit seed")
-    rng = Random(seed)
+        trials, seed, shifts = 3**n, None, _all_shifts(n)
+    else:
+        if trials < 1:
+            raise ValueError("trials must be positive")
+        if seed is None:
+            raise ValueError("sampling mode requires an explicit seed")
+        shifts = _sampled_shifts(n, trials, Random(seed))
+    X = _planes(_symbol_matrix(code.strings(), n), (0, 1, 2))
     total = 0
     max_count = 0
-    for _ in range(trials):
-        v = Codeword.from_string("".join(rng.choices("012", k=n)))
-        c = sum(1 for x in code if _shifted_two_count(x, v) == r)
-        total += c
-        max_count = max(max_count, c)
+    for V in shifts:
+        # x + v holds a 2 where (x, v) is (0, 2), (1, 1) or (2, 0)
+        twos = X @ _planes(V, (2, 1, 0)).T
+        counts = np.count_nonzero(twos == r, axis=0)
+        total += int(counts.sum())
+        max_count = max(max_count, int(counts.max()))
     return ShiftSampleStats(
         n=n,
         r=r,
         code_size=len(code),
         trials=trials,
         seed=seed,
-        exhaustive=False,
+        exhaustive=bool(exhaustive),
         mean_fraction=Fraction(total, trials),
         max_count=max_count,
         expectation=expectation,

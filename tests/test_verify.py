@@ -1,0 +1,139 @@
+"""The verifier's triple scan against a brute-force reference, and its work split."""
+
+import itertools
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trifference import core
+from trifference.cli import run
+from trifference.constructions import one_bounded, triple_construction
+from trifference.core import (
+    Code,
+    _scan_plan,
+    _scan_rows,
+    _symbol_matrix,
+    naive_trifferent_triple,
+    verify_trifferent,
+    write_triff,
+)
+
+
+def brute_witness(code: Code):
+    """Lex-smallest violating index triple by the coordinate-walking check."""
+    for t in itertools.combinations(range(len(code)), 3):
+        if not naive_trifferent_triple(*(code.codewords[i] for i in t)):
+            return t
+    return None
+
+
+@st.composite
+def small_codes(draw):
+    # lengths on both sides of 64; a binary prefix leaves the last coordinate
+    # as the only one that can separate a triple
+    n = draw(st.integers(1, 70))
+    prefix = draw(st.sampled_from(["01", "012"]))
+    words = draw(
+        st.lists(
+            st.tuples(st.text(prefix, min_size=n - 1, max_size=n - 1), st.sampled_from("012")),
+            max_size=12,
+        ).map(lambda pairs: sorted({a + b for a, b in pairs}))
+    )
+    return Code.from_strings(words, n=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_codes(), st.integers(1, 4), st.lists(st.integers(0, 20), max_size=3))
+def test_row_scan_matches_brute_force(code, block, cuts):
+    # any split of the rows into ranges, as workers get them, gives one witness
+    m = len(code)
+    if m <= 2:
+        return
+    U = _symbol_matrix(code.strings(), code.n)
+    bounds = sorted({0, m - 2, *(c % (m - 2) for c in cuts)})
+    found = [w for lo, hi in zip(bounds, bounds[1:]) if (w := _scan_rows(U, lo, hi, block))]
+    assert (min(found) if found else None) == brute_witness(code)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_codes())
+def test_verify_matches_brute_force_for_any_worker_count(code):
+    want = brute_witness(code)
+    with mock.patch.object(core, "_MIN_PROCESS_WORK", 1):  # use the pool on small codes
+        for workers in (1, 2, 3):
+            assert verify_trifferent(code, workers=workers).witness == want
+
+
+def test_only_the_last_coordinate_separates():
+    assert verify_trifferent(Code.from_strings(["0" * 70, "0" * 69 + "1", "1" * 69 + "2"])).ok
+    bad = Code.from_strings(["0" * 70, "0" * 69 + "1", "1" * 70])
+    assert verify_trifferent(bad).witness == (0, 1, 2)
+
+
+def plant_violation(code: Code, frac: float, rng: random.Random):
+    """Add a word so that the first violating triple is (a, a+1, last), a = frac * |code|.
+
+    New leading coordinates give the first a words distinct binary prefixes
+    that each hold a 0, the rest all ones, and the new word all twos; its tail
+    mixes the words at ranks a and a+1, so nothing separates those three.
+    """
+    strings = [w.string for w in code.codewords]
+    a = int(frac * len(strings))
+    k = a.bit_length()
+    z = "".join(rng.choice(pair) for pair in zip(strings[a], strings[a + 1]))
+    planted = Code.from_strings(
+        [format(i, f"0{k}b") + s for i, s in enumerate(strings[:a])]
+        + ["1" * k + s for s in strings[a:]]
+        + ["2" * k + z]
+    )
+    return planted, (a, a + 1, len(strings))
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.6])
+def test_planted_violation_keeps_its_witness(frac, monkeypatch):
+    monkeypatch.setattr(core, "_MIN_PROCESS_WORK", 1)
+    base = triple_construction(5, one_bounded(15))
+    planted, witness = plant_violation(base, frac, random.Random(3))
+    for workers in (1, 2):
+        assert verify_trifferent(planted, workers=workers).witness == witness
+    assert not naive_trifferent_triple(*(planted.codewords[i] for i in witness))
+
+
+def row_work(m, lo, hi):
+    return sum((m - 1 - i) ** 2 for i in range(lo, hi))
+
+
+class TestScanPlan:
+    def test_split_by_triple_count(self):
+        plan = _scan_plan(500, 198, 2, 2)
+        assert plan[0][0] == 0 and plan[-1][1] == 498
+        assert all(a[1] == b[0] for a, b in zip(plan, plan[1:]))
+        total = row_work(500, 0, 498)
+        assert [round(row_work(500, lo, hi) / total, 2) for lo, hi in plan] == [0.5, 0.5]
+        # a split uniform in i would end the first range near row 249
+        assert plan[0][1] < 125
+
+    def test_pool_is_capped_by_cpus_and_rows(self):
+        assert len(_scan_plan(500, 198, 1000, 2)) == 2
+        assert len(_scan_plan(500, 198, 3, 64)) == 3
+        assert _scan_plan(5, 10**9, 1000, 64) == [(0, 1), (1, 2), (2, 3)]
+        assert _scan_plan(3, 10**9, 4, 4) == [(0, 1)]
+        assert _scan_plan(40, 10**9, 1, 8) == [(0, 38)]
+
+    def test_small_scans_stay_serial(self):
+        # the q = 7 triple code with a planted word: ~0.1 s of scanning
+        assert _scan_plan(393, 88, 2, 2) == [(0, 391)]
+        assert len(_scan_plan(500, 198, 64, 64)) == 4
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            verify_trifferent(one_bounded(3), workers=0)
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_cli_rejects_bad_worker_counts(self, tmp_path, value):
+        path = tmp_path / "c.triff"
+        write_triff(one_bounded(3), path)
+        assert run(["verify", str(path), "--workers", value]) == 2
