@@ -14,7 +14,6 @@ import ctypes
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -107,12 +106,14 @@ class Codeword:
         if set(s) - _VALID_SYMBOLS:
             raise ValueError(f"invalid symbols in codeword {s!r}")
         rev = s[::-1]  # bit i of each mask is coordinate i (leftmost char)
-        return cls(
+        word = cls(
             n=len(s),
             mask0=int(rev.translate(_PLANE_TABLES[0]), 2),
             mask1=int(rev.translate(_PLANE_TABLES[1]), 2),
             mask2=int(rev.translate(_PLANE_TABLES[2]), 2),
         )
+        word.__dict__["string"] = s  # fills the cached_property below
+        return word
 
     @cached_property
     def string(self) -> str:
@@ -372,6 +373,9 @@ def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
     if len(plan) == 1:
         witness = _scan_rows(U, 0, m - 2)
     else:
+        # the pool's modules cost every CLI start ~15 ms, so import on use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=len(plan), initializer=_pin_blas_threads
         ) as pool:

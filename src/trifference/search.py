@@ -2,21 +2,35 @@
 
 The branch-and-bound engine walks candidate codewords in lexicographic order,
 keeps the incumbent, and prunes subtrees that cannot beat it, so the returned
-optimum is the lexicographically smallest one.  The oracle re-solves small
-instances as a plain maximum independent set in the bad-triple hypergraph and
-shares no code path with the engine.
+optimum is the lexicographically smallest one.  Candidate pools are Python
+big-int bitsets.  The pair masks that shrink them are built with the
+verifier's exact symbol-plane product (core._planes), one matrix product per
+word.  The support bound counts the pool's words per exact 2-location set by
+popcount.  The oracle re-solves small instances as a plain maximum
+independent set in the bad-triple hypergraph and shares no code path with
+the engine.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Code, Codeword, format_triff, is_trifferent_triple
+from .core import (
+    Code,
+    Codeword,
+    _planes,
+    _symbol_matrix,
+    count_A_r,
+    format_triff,
+    is_trifferent_triple,
+)
 
 __all__ = [
     "SearchCertificate",
@@ -160,24 +174,24 @@ def _config_hash(config: dict) -> str:
 def _pair_compat_masks(universe: list[Codeword]) -> list[list[int]]:
     """compat[i][j] = bitmask of w such that the triple (i, j, w) is trifferent.
 
-    Positions i and j themselves are never set (a triple needs distinct words).
+    The counts come from the verifier's exact plane product (core._scan_rows):
+    with E, F marking where each word holds U_i + 1 and U_i + 2 (mod 3),
+    [E F] [F E]^T counts, for every pair (j, w), the coordinates at which
+    i, j and w show all three symbols.  The count is 0 when w is i or j, as
+    no word holds both U_i + 1 and U_i + 2 at one coordinate, so positions i
+    and j are never set (a triple needs distinct words).
     """
     m = len(universe)
-    U = np.stack(
-        [np.frombuffer(w.string.encode("ascii"), dtype=np.uint8) for w in universe]
-    )
+    U = _symbol_matrix([w.string for w in universe], universe[0].n)
+    width = (m + 7) // 8
     compat: list[list[int]] = [[0] * m for _ in range(m)]
-    for i in range(m):
-        ui = U[i]
+    for i in range(m - 1):
+        up1, up2 = (U[i] + 1) % 3, (U[i] + 2) % 3
+        ok = (_planes(U[i + 1 :], (up1, up2)) @ _planes(U, (up2, up1)).T) > 0
+        packed = np.packbits(ok, axis=1, bitorder="little").tobytes()
         for j in range(i + 1, m):
-            cols = np.nonzero(ui != U[j])[0]
-            sub = U[:, cols]
-            ok = ((sub != ui[cols]) & (sub != U[j, cols])).any(axis=1)
-            mask = int.from_bytes(
-                np.packbits(ok, bitorder="little").tobytes(), "little"
-            )
-            compat[i][j] = mask
-            compat[j][i] = mask
+            at = (j - i - 1) * width
+            compat[i][j] = compat[j][i] = int.from_bytes(packed[at : at + width], "little")
     return compat
 
 
@@ -191,37 +205,27 @@ def _branch_and_bound(
     m = len(universe)
     if m == 0:
         return 0, [], 0, True
-    compat = _pair_compat_masks(universe)
-
-    support_of = None
-    used: dict = {}
-    if bound == "support":
-        keys = {}
-        support_of = []
-        for w in universe:
-            key = w.two_locations()
-            keys.setdefault(key, len(keys))
-            support_of.append(keys[key])
-        used = {sid: 0 for sid in range(len(keys))}
-    elif bound != "size":
+    if bound not in ("size", "support"):
         raise ValueError(f"unknown bound rule {bound!r}")
+    by_support = bound == "support"
+    compat = _pair_compat_masks(universe)
+    # every exact 2-location set admits at most 2 codewords in total;
+    # supports[s] has a bit per word of set s, used[s] counts chosen ones
+    support_of: list[int] = []
+    supports: list[int] = []
+    if by_support:
+        sid_of: dict = {}
+        support_of = [sid_of.setdefault(w.two_locations(), len(sid_of)) for w in universe]
+        supports = [0] * len(sid_of)
+        for idx, sid in enumerate(support_of):
+            supports[sid] |= 1 << idx
+    used = [0] * len(supports)
+    rows: list[list[int]] = []  # compat rows of the chosen words
 
     best_size = 0
     best: list[int] = []
     nodes = 0
     exhausted = False
-
-    def support_bound(pool: int) -> int:
-        # every exact 2-location set admits at most 2 codewords in total
-        counts: dict = {}
-        p = pool
-        while p:
-            lsb = p & -p
-            w = lsb.bit_length() - 1
-            p ^= lsb
-            sid = support_of[w]
-            counts[sid] = counts.get(sid, 0) + 1
-        return sum(min(2 - used[sid], c) for sid, c in counts.items())
 
     def rec(chosen: list[int], pool: int) -> None:
         nonlocal best_size, best, nodes, exhausted
@@ -229,39 +233,47 @@ def _branch_and_bound(
         if budget is not None and nodes > budget:
             exhausted = True
             return
-        if len(chosen) > best_size:
-            best_size = len(chosen)
+        depth = len(chosen)
+        if depth > best_size:
+            best_size = depth
             best = chosen.copy()
+        if by_support:
+            # the classes the pool still meets, with the room each has left
+            live = [(2 - u, S) for u, S in zip(used, supports) if pool & S]
         rem = pool
-        while rem:
-            if len(chosen) + rem.bit_count() <= best_size:
-                break
+        while rem and depth + rem.bit_count() > best_size:
             lsb = rem & -rem
             c = lsb.bit_length() - 1
             rem ^= lsb
             new_pool = rem
-            for x in chosen:
-                new_pool &= compat[x][c]
+            for row in rows:
+                new_pool &= row[c]
                 if not new_pool:
                     break
-            if bound == "support":
-                slack = support_bound(new_pool)
+            if by_support:
+                slack = 0
+                for room, S in live:
+                    k = (new_pool & S).bit_count()
+                    slack += k if k < room else room
             else:
                 slack = new_pool.bit_count()
-            if len(chosen) + 1 + slack > best_size:
+            if depth + 1 + slack > best_size:
                 chosen.append(c)
-                if support_of is not None:
+                rows.append(compat[c])
+                if by_support:
                     used[support_of[c]] += 1
                 rec(chosen, new_pool)
-                if support_of is not None:
+                if by_support:
                     used[support_of[c]] -= 1
+                rows.pop()
                 chosen.pop()
             if exhausted:
                 return
 
     full = (1 << m) - 1
     if symmetry:
-        if support_of is not None:
+        rows.append(compat[0])
+        if by_support:
             used[support_of[0]] += 1
         rec([0], full & ~1)
     else:
@@ -283,26 +295,43 @@ def _certify(
     best_size, best, nodes, completed = _branch_and_bound(
         universe, symmetry, bound, budget
     )
-    oracle_checked = False
-    if oracle_check:
-        instance = enumerate_bad_triples(universe)
-        oracle_size = oracle_max(instance, cap=oracle_cap)
-        if completed and oracle_size != best_size:
+    return _certificate(
+        Code(n, tuple(universe[i] for i in best)),
+        r,
+        completed=completed,
+        nodes=nodes,
+        oracle_universe=universe if oracle_check else None,
+        oracle_cap=oracle_cap,
+        config=config,
+    )
+
+
+def _certificate(
+    code: Code,
+    r: int | None,
+    completed: bool,
+    nodes: int,
+    oracle_universe: list[Codeword] | None,
+    oracle_cap: int,
+    config: dict,
+) -> SearchCertificate:
+    """Certificate for code, cross-checked by the oracle over oracle_universe."""
+    if oracle_universe is not None:
+        oracle_size = oracle_max(enumerate_bad_triples(oracle_universe), cap=oracle_cap)
+        if completed and oracle_size != len(code):
             raise RuntimeError(
-                f"oracle disagrees with search: {oracle_size} vs {best_size}"
+                f"oracle disagrees with search: {oracle_size} vs {len(code)}"
             )
-        if not completed and best_size > oracle_size:
+        if not completed and len(code) > oracle_size:
             raise RuntimeError("budgeted search exceeded the oracle optimum")
-        oracle_checked = True
-    code = Code(n, tuple(universe[i] for i in best))
     return SearchCertificate(
-        n=n,
+        n=code.n,
         r=r,
-        best_size=best_size,
+        best_size=len(code),
         best_code=code,
         status=OPTIMAL if completed else LOWER_BOUND,
         nodes_explored=nodes,
-        oracle_checked=oracle_checked,
+        oracle_checked=oracle_universe is not None,
         config_hash=_config_hash(config),
     )
 
@@ -375,47 +404,18 @@ def max_r_bounded(
         "bound": bound,
         "oracle": oracle_check,
     }
-    if r == 0:
+    if r in (0, n):
         # binary words never give a coordinate all three symbols, so any two
-        # distinct words are optimal and no search is needed
-        words = (
-            Codeword.from_string("0" * n),
-            Codeword.from_string("0" * (n - 1) + "1"),
-        )
-        oracle_checked = False
-        if oracle_check:
-            oracle_size = oracle_max(
-                enumerate_bad_triples(a_r_universe(n, 0)), cap=oracle_cap
-            )
-            if oracle_size != 2:
-                raise RuntimeError("oracle disagrees on the binary layer")
-            oracle_checked = True
-        return SearchCertificate(
-            n=n,
-            r=0,
-            best_size=2,
-            best_code=Code(n, words),
-            status=OPTIMAL,
-            nodes_explored=0,
-            oracle_checked=oracle_checked,
-            config_hash=_config_hash(dict(config, universe=2**n)),
-        )
-    if r == n:
-        universe = [Codeword.from_string("2" * n)]
-        oracle_checked = False
-        if oracle_check:
-            if oracle_max(enumerate_bad_triples(universe), cap=oracle_cap) != 1:
-                raise RuntimeError("oracle disagrees on the all-twos layer")
-            oracle_checked = True
-        return SearchCertificate(
-            n=n,
-            r=n,
-            best_size=1,
-            best_code=Code(n, tuple(universe)),
-            status=OPTIMAL,
-            nodes_explored=0,
-            oracle_checked=oracle_checked,
-            config_hash=_config_hash(dict(config, universe=1)),
+        # distinct words are optimal; r = n leaves only the all-twos word
+        words = ("0" * n, "0" * (n - 1) + "1") if r == 0 else ("2" * n,)
+        return _certificate(
+            Code.from_strings(words, n),
+            r,
+            completed=True,
+            nodes=0,
+            oracle_universe=a_r_universe(n, r) if oracle_check else None,
+            oracle_cap=oracle_cap,
+            config=dict(config, universe=count_A_r(n, r)),
         )
     universe = a_r_universe(n, r)
     if len(universe) > universe_cap:
@@ -449,19 +449,46 @@ def certificate_to_json(cert: SearchCertificate) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true/false load as bool, an int subclass
+
+
 def load_results_table(path) -> dict:
+    """Read a table written by save_results_table; ValueError on a bad entry."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if data.get("schema") != 1:
+    if not isinstance(data, dict) or data.get("schema") != 1:
         raise ValueError("unsupported results table schema")
+    entries = data.get("entries")
+    if not isinstance(entries, list):
+        raise ValueError("results table needs a list of entries")
     table = {}
-    for entry in data["entries"]:
-        r = entry["r"]
-        table[(entry["n"], r)] = entry["size"]
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"results table entry {k} is not an object")
+        missing = {"n", "r", "size"} - entry.keys()
+        if missing:
+            raise ValueError(f"results table entry {k} lacks {', '.join(sorted(missing))}")
+        n, r, size = entry["n"], entry["r"], entry["size"]
+        if not (_is_int(n) and n >= 1):
+            raise ValueError(f"results table entry {k}: n must be an integer >= 1")
+        if not (r is None or (_is_int(r) and 0 <= r <= n)):
+            raise ValueError(
+                f"results table entry {k}: r must be null or an integer in [0, {n}]"
+            )
+        if not (_is_int(size) and size >= 0):
+            raise ValueError(f"results table entry {k}: size must be an integer >= 0")
+        if (n, r) in table:
+            raise ValueError(f"results table entry {k}: duplicate key n={n}, r={r}")
+        table[(n, r)] = size
     return table
 
 
 def save_results_table(path, table: dict) -> None:
+    """Write the table to a temporary file beside path, then rename it over path.
+
+    A reader never sees a half-written table, even if this process dies.
+    """
     entries = [
         {"n": n, "r": r, "size": size, "status": OPTIMAL}
         for (n, r), size in sorted(
@@ -469,9 +496,16 @@ def save_results_table(path, table: dict) -> None:
         )
     ]
     payload = {"schema": 1, "entries": entries}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def record_certificate(table: dict, cert: SearchCertificate) -> None:

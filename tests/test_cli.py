@@ -90,6 +90,20 @@ class TestSearch:
         assert run(["search", "max", "--n", "9"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, entry",
+        [
+            (["bound", "report", "--n", "6", "--exact-table"], {"n": 5, "size": 10}),
+            (["search", "max", "--n", "2", "--table"], {"n": 5, "r": 2}),
+        ],
+    )
+    def test_malformed_table_is_a_usage_error(self, tmp_path, capsys, argv, entry):
+        table = tmp_path / "results.json"
+        table.write_text(json.dumps({"schema": 1, "entries": [entry]}))
+        assert run(argv + [str(table)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestBound:
     def test_report_with_exact_table(self, tmp_path, capsys):

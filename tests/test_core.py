@@ -38,8 +38,11 @@ def code_of(*strings: str) -> Code:
 
 class TestCodeword:
     def test_round_trip(self):
-        for s in ("0", "2", "012", "2101", "0" * 64, "210" * 21):
-            assert cw(s).string == s
+        # from_string keeps its input; a word built from masks rebuilds it
+        for s in ("0", "2", "012", "2101", "0" * 64, "210" * 21, "1022" * 20):
+            w = cw(s)
+            assert w.string == s
+            assert Codeword(w.n, w.mask0, w.mask1, w.mask2).string == s
 
     def test_symbols_and_two_locations(self):
         w = cw("0212")

@@ -2,11 +2,14 @@ import json
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trifference.core import verify_trifferent
+from trifference.core import Codeword, naive_trifferent_triple, verify_trifferent
 from trifference.search import (
     LOWER_BOUND,
     OPTIMAL,
+    _pair_compat_masks,
     a_r_universe,
     certificate_to_json,
     enumerate_bad_triples,
@@ -54,6 +57,59 @@ class TestBadTriples:
     def test_tiny_universe_has_no_triples(self):
         inst = enumerate_bad_triples(full_universe(1)[:2])
         assert inst.bad_count == 0
+
+
+@st.composite
+def universes(draw):
+    # a prefix over one symbol leaves words that differ only in the last
+    # coordinate; a binary one leaves it the only coordinate that separates
+    n = draw(st.integers(1, 12))
+    prefix = draw(st.sampled_from(["0", "01", "012"]))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.text(prefix, min_size=n - 1, max_size=n - 1), st.sampled_from("012")),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    # duplicate-free, in the drawn order
+    return [Codeword.from_string(s) for s in dict.fromkeys(a + b for a, b in pairs)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(universes())
+def test_pair_masks_match_the_naive_triple_check(universe):
+    m = len(universe)
+    want = [
+        [
+            sum(
+                1 << w
+                for w in range(m)
+                if len({i, j, w}) == 3
+                and naive_trifferent_triple(universe[i], universe[j], universe[w])
+            )
+            for j in range(m)
+        ]
+        for i in range(m)
+    ]
+    assert _pair_compat_masks(universe) == want
+
+
+@pytest.mark.parametrize(
+    "solve, size, nodes, status",
+    [
+        (lambda: max_r_bounded(6, 1), 12, 6511, OPTIMAL),
+        (lambda: max_r_bounded(5, 2), 10, 3118, OPTIMAL),
+        (lambda: max_r_bounded(4, 1), 8, 31, OPTIMAL),
+        (lambda: max_trifferent(4), 9, 3697, OPTIMAL),
+        (lambda: max_trifferent(5, cap=5, budget=200_000), 10, 200_001, LOWER_BOUND),
+    ],
+    ids=["max-r-6-1", "max-r-5-2", "max-r-4-1", "max-4", "max-5-budget"],
+)
+def test_search_tree_is_pinned(solve, size, nodes, status):
+    # node counts move whenever a prune decision does
+    cert = solve()
+    assert (cert.best_size, cert.nodes_explored, cert.status) == (size, nodes, status)
 
 
 class TestOracle:
@@ -174,6 +230,38 @@ class TestResultsTable:
         table = {(2, None): 5}
         with pytest.raises(ValueError):
             record_certificate(table, max_trifferent(2))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [{"n": 5, "size": 10}],
+            [{"n": 5, "r": 2}],
+            [{"r": 2, "size": 10}],
+            [{"n": 0, "r": None, "size": 1}],
+            [{"n": 5, "r": 6, "size": 1}],
+            [{"n": 5, "r": -1, "size": 1}],
+            [{"n": 5, "r": 2.0, "size": 10}],
+            [{"n": True, "r": None, "size": 3}],
+            [{"n": 5, "r": 2, "size": -1}],
+            [{"n": 5, "r": 2, "size": "10"}],
+            [[5, 2, 10]],
+            [{"n": 3, "r": 1, "size": 6}, {"n": 3, "r": 1, "size": 6}],
+        ],
+    )
+    def test_malformed_table_rejected(self, tmp_path, entries):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"schema": 1, "entries": entries}))
+        with pytest.raises(ValueError):
+            load_results_table(path)
+
+    def test_failed_write_keeps_the_old_table(self, tmp_path):
+        path = tmp_path / "results.json"
+        save_results_table(path, {(3, 1): 6})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_results_table(path, {(3, 1): 6, (4, 1): object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
 
     def test_lower_bounds_not_recorded(self):
         table = {}
