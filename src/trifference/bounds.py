@@ -296,6 +296,19 @@ def _linear_value(log2_value: float) -> float | None:
     return 2.0**log2_value
 
 
+def _transfer_value(n: int, r: int, tb: float, log2_value: float) -> float | None:
+    """transfer_bound(n, r, tb) as a float, None where a double overflows.
+
+    Past length 512 the value is read off its log2 form instead.
+    """
+    if n > 512:
+        return _linear_value(log2_value)
+    try:
+        return transfer_bound(n, r, tb)
+    except OverflowError:
+        return None
+
+
 def bound_report(n: int, exact_tb: dict | None = None, codes=None) -> BoundReport:
     """Assemble every bound we can defend at length n and pick the smallest.
 
@@ -349,7 +362,7 @@ def bound_report(n: int, exact_tb: dict | None = None, codes=None) -> BoundRepor
         entries.append(
             BoundEntry(
                 name=label,
-                value=linear(lambda: transfer_bound(n, r, tb)) if n <= 512 else _linear_value(log2_value),
+                value=_transfer_value(n, r, tb, log2_value),
                 log2_value=log2_value,
                 valid=True,
                 provenance=(
@@ -368,7 +381,7 @@ def bound_report(n: int, exact_tb: dict | None = None, codes=None) -> BoundRepor
         entries.append(
             BoundEntry(
                 name=f"exact-r{r}-transfer",
-                value=linear(lambda: transfer_bound(n, r, size)) if n <= 512 else _linear_value(log2_value),
+                value=_transfer_value(n, r, size, log2_value),
                 log2_value=log2_value,
                 valid=True,
                 provenance=f"shift transfer from the exactly searched r={r} layer maximum {size}",

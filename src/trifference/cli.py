@@ -1,8 +1,9 @@
 """Command-line front end: construct, verify, search, bound, graph, and transforms.
 
 Exit codes: 0 on success, 1 when a verification finds a violating triple
-(the witness is printed), 2 on usage or input errors.  Stochastic subcommands
-demand an explicit --seed and echo it, so identical argv means identical output.
+(the witness is printed) or a search disagrees with its oracle cross-check,
+2 on usage or input errors.  Stochastic subcommands demand an explicit --seed
+and echo it, so identical argv means identical output.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import json
 import math
 import sys
 
-from . import bounds, constructions, core, graphs, search
+# the parser reads search's defaults; the other layers are imported by the
+# handlers that use them, so each command loads only what it runs
+from . import core, search
 
 SCHEMA = 1
 
@@ -55,6 +58,8 @@ def _write_code(code: core.Code, args) -> None:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructions
+
     if args.family == "one-bounded":
         code = constructions.one_bounded(args.n)
     elif args.family == "triple":
@@ -137,6 +142,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from . import bounds
+
     if args.what == "zarankiewicz":
         value = bounds.zarankiewicz_bound(args.u, args.v, args.s, args.t)
         _emit(
@@ -197,7 +204,10 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _load_graph(args) -> graphs.DerivedGraph:
+def _load_graph(args):
+    """The graphs.DerivedGraph of args.code; kind auto picks it from the code's r."""
+    from . import graphs
+
     code = core.read_triff(args.code)
     kind = args.kind
     if kind == "auto":
@@ -215,6 +225,8 @@ def _load_graph(args) -> graphs.DerivedGraph:
 
 
 def _cmd_graph(args) -> int:
+    from . import graphs
+
     g = _load_graph(args)
     if args.action == "build":
         if args.edges:
@@ -463,6 +475,9 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except search.OracleDisagreementError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

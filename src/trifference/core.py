@@ -6,11 +6,12 @@ carry one integer bitmask per symbol.  The bulk kernels (the triple scan and
 shift sampling) instead multiply 0/1 symbol planes as float32 matrices.  They
 stay exact: every product term is 0 or 1, so each partial sum is an integer
 no larger than the number of terms, which is kept below 2**24 (see _planes).
+numpy is imported inside the kernels that use it, so a command that never
+scans (a bound, prune, project or graph) starts without it.
 """
 
 from __future__ import annotations
 
-import ctypes
 import itertools
 import math
 import os
@@ -18,8 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from random import Random
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Codeword",
@@ -258,6 +261,8 @@ def _symbol_matrix(strings, n: int) -> np.ndarray:
 
     A string may hold several words back to back.
     """
+    import numpy as np
+
     flat = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
     return flat.reshape(-1, n) - ord("0")
 
@@ -269,6 +274,8 @@ def _planes(U: np.ndarray, targets) -> np.ndarray:
     these planes are integer counts; float32 keeps every partial sum exact
     while the number of summed terms stays below 2**24.
     """
+    import numpy as np
+
     rows, n = U.shape
     dtype = np.float32 if n * len(targets) < 2**24 else np.float64
     out = np.empty((rows, n * len(targets)), dtype=dtype)
@@ -290,6 +297,8 @@ def _scan_rows(
     the upper triangle.  Rows and blocks go in order, so the first zero found
     above the diagonal is the lex-smallest witness.
     """
+    import numpy as np
+
     m = U.shape[0]
     for i in range(i_lo, min(i_hi, m - 2)):
         later = U[i + 1 :]
@@ -319,6 +328,8 @@ def _scan_plan(m: int, n: int, workers: int, cpus: int) -> list[tuple[int, int]]
     as (m - 1 - i)^2 * n.  There are at most min(workers, cpus, m - 2) of
     them, and one unless each gets _MIN_PROCESS_WORK.
     """
+    import numpy as np
+
     rows = m - 2
     work = np.concatenate(([0], np.cumsum((m - 1 - np.arange(rows)) ** 2)))
     parts = max(1, min(workers, cpus, rows, int(work[-1]) * n // _MIN_PROCESS_WORK))
@@ -334,6 +345,8 @@ def _pin_blas_threads() -> None:
     workers would only oversubscribe them.  Best effort: where the loaded
     libraries cannot be listed, BLAS keeps its default.
     """
+    import ctypes
+
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line}
@@ -430,6 +443,8 @@ def _sampled_shifts(n: int, trials: int, rng: Random):
 
 def _all_shifts(n: int):
     """All 3^n shift vectors as uint8 symbol blocks of at most 3^7 rows."""
+    import numpy as np
+
     t = min(n, 7)
     tails = np.array(list(itertools.product(range(3), repeat=t)), dtype=np.uint8)
     for head in itertools.product(range(3), repeat=n - t):
@@ -473,6 +488,8 @@ def shift_density_sample(
     exhaustive mode averages over all 3^n shifts and reproduces it exactly.
     Requires a trifferent input and, in sampling mode, an explicit seed.
     """
+    import numpy as np
+
     n = code.n
     if not 0 <= r <= n:
         raise ValueError(f"r must lie in [0, {n}], got {r}")

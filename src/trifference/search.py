@@ -20,8 +20,6 @@ import json
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     Code,
     Codeword,
@@ -34,6 +32,7 @@ from .core import (
 
 __all__ = [
     "SearchCertificate",
+    "OracleDisagreementError",
     "BadTripleOracleInstance",
     "full_universe",
     "a_r_universe",
@@ -112,6 +111,15 @@ def enumerate_bad_triples(universe) -> BadTripleOracleInstance:
     return BadTripleOracleInstance(universe=words, bad_triples=bad)
 
 
+class OracleDisagreementError(RuntimeError):
+    """The search's result contradicts the exhaustive oracle's optimum."""
+
+
+def _check_oracle_cap(size: int, cap: int) -> None:
+    if size > cap:
+        raise ValueError(f"oracle universe size {size} exceeds cap {cap}")
+
+
 def oracle_max(instance: BadTripleOracleInstance, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Maximum independent set size in the bad-triple hypergraph, by full recursion.
 
@@ -119,8 +127,7 @@ def oracle_max(instance: BadTripleOracleInstance, cap: int = DEFAULT_ORACLE_CAP)
     every triple-free subset is visited.  Only usable on small universes.
     """
     m = len(instance.universe)
-    if m > cap:
-        raise ValueError(f"oracle universe size {m} exceeds cap {cap}")
+    _check_oracle_cap(m, cap)
     bad = instance.bad_triples
     best = 0
 
@@ -181,6 +188,8 @@ def _pair_compat_masks(universe: list[Codeword]) -> list[list[int]]:
     no word holds both U_i + 1 and U_i + 2 at one coordinate, so positions i
     and j are never set (a triple needs distinct words).
     """
+    import numpy as np
+
     m = len(universe)
     U = _symbol_matrix([w.string for w in universe], universe[0].n)
     width = (m + 7) // 8
@@ -319,11 +328,11 @@ def _certificate(
     if oracle_universe is not None:
         oracle_size = oracle_max(enumerate_bad_triples(oracle_universe), cap=oracle_cap)
         if completed and oracle_size != len(code):
-            raise RuntimeError(
+            raise OracleDisagreementError(
                 f"oracle disagrees with search: {oracle_size} vs {len(code)}"
             )
         if not completed and len(code) > oracle_size:
-            raise RuntimeError("budgeted search exceeded the oracle optimum")
+            raise OracleDisagreementError("budgeted search exceeded the oracle optimum")
     return SearchCertificate(
         n=code.n,
         r=r,
@@ -359,6 +368,8 @@ def max_trifferent(
         raise ValueError(
             f"n={n} exceeds the search cap {cap}; pass a larger cap explicitly"
         )
+    if oracle_check:
+        _check_oracle_cap(3**n, oracle_cap)
     universe = full_universe(n)
     config = {
         "kind": "max",
@@ -395,6 +406,7 @@ def max_r_bounded(
         raise ValueError("n must be positive")
     if not 0 <= r <= n:
         raise ValueError(f"r must lie in [0, {n}], got {r}")
+    universe_size = count_A_r(n, r)
     config = {
         "kind": "max-r",
         "n": n,
@@ -403,7 +415,10 @@ def max_r_bounded(
         "symmetry": symmetry,
         "bound": bound,
         "oracle": oracle_check,
+        "universe": universe_size,
     }
+    if oracle_check:
+        _check_oracle_cap(universe_size, oracle_cap)
     if r in (0, n):
         # binary words never give a coordinate all three symbols, so any two
         # distinct words are optimal; r = n leaves only the all-twos word
@@ -415,15 +430,14 @@ def max_r_bounded(
             nodes=0,
             oracle_universe=a_r_universe(n, r) if oracle_check else None,
             oracle_cap=oracle_cap,
-            config=dict(config, universe=count_A_r(n, r)),
+            config=config,
         )
-    universe = a_r_universe(n, r)
-    if len(universe) > universe_cap:
+    if universe_size > universe_cap:
         raise ValueError(
-            f"universe size {len(universe)} exceeds cap {universe_cap}; "
+            f"universe size {universe_size} exceeds cap {universe_cap}; "
             "pass a larger universe_cap explicitly"
         )
-    config["universe"] = len(universe)
+    universe = a_r_universe(n, r)
     return _certify(
         universe, n, r, symmetry, bound, budget, oracle_check, oracle_cap, config
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from trifference import search
 from trifference.cli import run
 from trifference.core import read_triff
 
@@ -89,6 +90,43 @@ class TestSearch:
     def test_cap_violation_is_an_error(self, capsys):
         assert run(["search", "max", "--n", "9"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, size, cap",
+        [
+            (["search", "max", "--n", "5", "--cap", "5", "--budget", "1000"], 243, 30),
+            (["search", "max-r", "--n", "6", "--r", "0"], 64, 30),
+            (["search", "max-r", "--n", "4", "--r", "1", "--oracle-cap", "5"], 32, 5),
+        ],
+    )
+    def test_oracle_cap_is_checked_before_any_search_work(
+        self, monkeypatch, capsys, argv, size, cap
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("search work before the oracle cap check")
+
+        monkeypatch.setattr(search, "_branch_and_bound", must_not_run)
+        monkeypatch.setattr(search, "enumerate_bad_triples", must_not_run)
+        assert run(argv + ["--oracle"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: oracle universe size {size} exceeds cap {cap}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, oracle, message",
+        [
+            (["--n", "3"], 99, "oracle disagrees with search: 99 vs 6"),
+            (["--n", "3", "--budget", "5"], 0, "budgeted search exceeded the oracle optimum"),
+        ],
+    )
+    def test_oracle_disagreement_is_a_failed_verification(
+        self, monkeypatch, capsys, argv, oracle, message
+    ):
+        monkeypatch.setattr(search, "oracle_max", lambda instance, cap: oracle)
+        assert run(["search", "max", *argv, "--oracle"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv, entry",

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trifference.core import (
     Code,
@@ -328,3 +330,57 @@ class TestTriffFormat:
     def test_comments_survive(self):
         c = parse_triff("n=2\n# a\n02\n# b\n20\n")
         assert c.comments == ("# a", "# b")
+
+
+@st.composite
+def triff_codes(draw, min_words=0):
+    """Codes with comments, half of them with every word holding r twos."""
+    n = draw(st.integers(1, 10))
+    r = draw(st.none() | st.integers(0, n))
+    if r is None:
+        word = st.text("012", min_size=n, max_size=n)
+    else:
+        word = st.builds(
+            lambda bits, order: "".join(
+                "2" if i in order[:r] else b for i, b in enumerate(bits)
+            ),
+            st.text("01", min_size=n, max_size=n),
+            st.permutations(range(n)),
+        )
+    words = draw(st.lists(word, unique=True, min_size=min_words, max_size=12))
+    comments = draw(
+        st.lists(st.text(st.characters(blacklist_characters="\n"), max_size=8), max_size=3)
+    )
+    return Code.from_strings(words, n, comments=["#" + c for c in comments])
+
+
+@settings(max_examples=200, deadline=None)
+@given(triff_codes())
+def test_triff_round_trip(code):
+    text = format_triff(code)
+    assert parse_triff(text) == code
+    assert format_triff(parse_triff(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    triff_codes(min_words=1),
+    st.sampled_from(["bad symbol", "wrong length", "duplicate word", "late r="]),
+    st.data(),
+)
+def test_one_corrupted_line_is_reported_at_its_line_number(code, fault, data):
+    lines = format_triff(code).split("\n")[:-1]
+    first_word = len(lines) - len(code)
+    k = data.draw(st.integers(first_word, len(lines) - 1))  # a codeword line
+    word = lines[k]
+    if fault == "bad symbol":
+        at = data.draw(st.integers(0, code.n - 1))
+        lines[k] = word[:at] + data.draw(st.sampled_from("3x ")) + word[at + 1 :]
+    elif fault == "wrong length":
+        lines[k] = data.draw(st.sampled_from([word[:-1], word + "0"]))
+    else:
+        k += 1  # the bad line follows the codeword line
+        lines.insert(k, word if fault == "duplicate word" else f"r={word.count('2')}")
+    with pytest.raises(TriffParseError) as err:
+        parse_triff("\n".join(lines) + "\n")
+    assert err.value.lineno == k + 1

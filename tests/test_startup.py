@@ -1,0 +1,101 @@
+"""Start-up cost: the modules a fresh interpreter loads to import the package or run a command.
+
+Each check runs in a new interpreter, because this test process has long
+since imported numpy and every layer.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import trifference
+from trifference.constructions import one_bounded
+from trifference.core import write_triff
+
+SRC = str(Path(trifference.__file__).resolve().parents[1])
+WATCHED = ("numpy", "ctypes", "trifference.bounds", "trifference.constructions", "trifference.graphs")
+
+
+def fresh(script: str, cwd) -> dict:
+    """Run script in a new interpreter; it leaves a dict in `out`, printed as JSON."""
+    probe = script + "\nimport json, sys\nprint(json.dumps(out))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(argvs, cwd) -> dict:
+    """Exit codes of cli.run on each argv, and which WATCHED modules were then loaded."""
+    return fresh(
+        "import sys\n"
+        "from trifference import cli\n"
+        f"rcs = [cli.run(argv) for argv in {argvs!r}]\n"
+        f"out = {{'rcs': rcs, 'loaded': [m for m in {WATCHED!r} if m in sys.modules]}}",
+        cwd,
+    )
+
+
+def test_importing_the_cli_loads_no_numpy_and_no_unused_layer(tmp_path):
+    out = fresh(
+        "import sys, trifference, trifference.cli\n"
+        f"out = [m for m in {WATCHED!r} if m in sys.modules]",
+        tmp_path,
+    )
+    assert out == []
+
+
+def test_commands_that_never_scan_run_without_numpy(tmp_path):
+    write_triff(one_bounded(4), tmp_path / "c.triff")
+    out = loaded_after(
+        [
+            ["bound", "zarankiewicz", "--u", "9", "--v", "9", "--s", "3", "--t", "9"],
+            ["prune", "c.triff"],
+        ],
+        tmp_path,
+    )
+    assert out == {"rcs": [0, 0], "loaded": ["trifference.bounds"]}
+
+
+def test_verify_loads_numpy(tmp_path):
+    write_triff(one_bounded(4), tmp_path / "c.triff")
+    out = loaded_after([["verify", "c.triff"]], tmp_path)
+    assert out["rcs"] == [0]
+    assert "numpy" in out["loaded"]  # numpy itself loads ctypes
+
+
+def test_star_import_binds_every_public_name_to_its_module(tmp_path):
+    out = fresh(
+        "import sys\n"
+        "import trifference\n"
+        "layers = sorted(m for m in ('bounds', 'constructions', 'core', 'graphs', 'search')\n"
+        "                if getattr(trifference, m).__name__ == f'trifference.{m}')\n"
+        "from trifference import *\n"
+        "names = trifference.__all__\n"
+        "out = {\n"
+        "    'layers': layers,\n"
+        "    'unbound': [n for n in names if n not in globals()],\n"
+        "    'foreign': [\n"
+        "        n for n in names if n != '__version__'\n"
+        "        and not (globals()[n].__module__.startswith('trifference.')\n"
+        "                 and getattr(sys.modules[globals()[n].__module__], n) is globals()[n])\n"
+        "    ],\n"
+        "    'undir': sorted(set(names) - set(dir(trifference))),\n"
+        "    'version': __version__,\n"
+        "}",
+        tmp_path,
+    )
+    assert out == {
+        "layers": ["bounds", "constructions", "core", "graphs", "search"],
+        "unbound": [],
+        "foreign": [],
+        "undir": [],
+        "version": trifference.__version__,
+    }
