@@ -157,12 +157,7 @@ def transfer_bound(n: int, r: int, tb_value: float) -> float:
     the r-layer, so T(n) <= 2^(r-n) * tb / C(n,r) * 3^n.  With r = 0 and
     tb = 2 this reproduces elias_bound(n) bit for bit.
     """
-    if not 0 <= r <= n:
-        raise ValueError(f"r must lie in [0, {n}], got {r}")
-    if tb_value <= 0:
-        raise ValueError("tb_value must be positive")
-    scaled = math.ldexp(tb_value / math.comb(n, r), r - n)
-    return scaled * float(3**n)
+    return rho_b(n, r, tb_value) * float(3**n)
 
 
 def transfer_bound_log2(n: int, r: int, tb_value: float) -> float:

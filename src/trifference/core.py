@@ -6,8 +6,9 @@ carry one integer bitmask per symbol.  The bulk kernels (the triple scan and
 shift sampling) instead multiply 0/1 symbol planes as float32 matrices.  They
 stay exact: every product term is 0 or 1, so each partial sum is an integer
 no larger than the number of terms, which is kept below 2**24 (see _planes).
-numpy is imported inside the kernels that use it, so a command that never
-scans (a bound, prune, project or graph) starts without it.
+numpy is imported inside the kernels that use it, and fractions inside shift
+sampling, so a command that never scans (a bound, prune, project or graph)
+starts without them.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from random import Random
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 __all__ = [
@@ -488,6 +490,8 @@ def shift_density_sample(
     exhaustive mode averages over all 3^n shifts and reproduces it exactly.
     Requires a trifferent input and, in sampling mode, an explicit seed.
     """
+    from fractions import Fraction
+
     import numpy as np
 
     n = code.n

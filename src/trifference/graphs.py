@@ -157,24 +157,9 @@ def contains_kst(g: DerivedGraph, s: int, t: int) -> KstWitness | None:
         raise ValueError("s and t must be positive")
     if g.kind == SIMPLE:
         nbr = _neighbor_masks_simple(g)
-        candidates = [v for v in range(g.n) if nbr[v].bit_count() >= t]
-        for left in itertools.combinations(candidates, s):
-            common = nbr[left[0]]
-            for v in left[1:]:
-                common &= nbr[v]
-                if common.bit_count() < t:
-                    break
-            else:
-                if common.bit_count() >= t:
-                    right = tuple(itertools.islice(_mask_bits(common), t))
-                    witness = KstWitness(left=left, right=right)
-                    if not witness_is_valid(g, witness):
-                        raise RuntimeError("detector produced an invalid witness")
-                    return witness
-        return None
-    nbr, rights = _neighbor_masks_bipartite(g)
-    if len(rights) < t:
-        return None  # not enough right vertices for any K_{s,t}
+        labels = range(g.n)
+    else:
+        nbr, labels = _neighbor_masks_bipartite(g)
     candidates = [v for v in range(g.n) if nbr[v].bit_count() >= t]
     for left in itertools.combinations(candidates, s):
         common = nbr[left[0]]
@@ -185,7 +170,7 @@ def contains_kst(g: DerivedGraph, s: int, t: int) -> KstWitness | None:
         else:
             if common.bit_count() >= t:
                 right = tuple(
-                    rights[pos] for pos in itertools.islice(_mask_bits(common), t)
+                    labels[pos] for pos in itertools.islice(_mask_bits(common), t)
                 )
                 witness = KstWitness(left=left, right=right)
                 if not witness_is_valid(g, witness):
@@ -261,25 +246,24 @@ def random_bipartition_check(
         return crossing / len(edges)
 
     if exhaustive:
-        fractions = [
-            crossing_fraction(set(a)) for a in itertools.combinations(range(n), half)
-        ]
+        trials = math.comb(n, half)
+        sides = itertools.combinations(range(n), half)
     else:
         if seed is None:
             raise ValueError("sampling mode requires an explicit seed")
         if trials < 1:
             raise ValueError("trials must be positive")
         rng = Random(seed)
-        fractions = [
-            crossing_fraction(set(rng.sample(range(n), half))) for _ in range(trials)
-        ]
+        sides = (rng.sample(range(n), half) for _ in range(trials))
+    # a running sum, in the order the sides come, holds one side at a time
+    total = sum(crossing_fraction(set(side)) for side in sides)
     return BipartitionStats(
         n=n,
         edge_count=len(edges),
-        trials=len(fractions),
+        trials=trials,
         seed=None if exhaustive else seed,
         exhaustive=exhaustive,
-        mean_crossing_fraction=sum(fractions) / len(fractions),
+        mean_crossing_fraction=total / trials,
         expected_edge_crossing=expected,
     )
 

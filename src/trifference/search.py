@@ -14,7 +14,6 @@ the engine.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import itertools
 import json
 import os
@@ -174,6 +173,8 @@ class SearchCertificate:
 
 
 def _config_hash(config: dict) -> str:
+    import hashlib  # costs every CLI start ~5 ms, so import on use
+
     blob = json.dumps(config, sort_keys=True).encode("ascii")
     return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -259,6 +259,20 @@ class TestReport:
         assert back["crossover_N0"] == 10**7
         assert back["rates"][0]["label"] == "fam"
 
+    @pytest.mark.parametrize("n", [512, 513])
+    def test_transfer_values_switch_to_the_log2_form_past_length_512(self, n):
+        report = bound_report(n, exact_tb={(n, 2): 1000})
+        entries = {e.name: e for e in report.entries}
+        for name, r, tb in (
+            ("kst-r2-transfer", 2, tb_upper(n, 2)),
+            ("kst-r3-transfer", 3, tb_upper(n, 3)),
+            ("exact-r2-transfer", 2, 1000),
+        ):
+            linear = transfer_bound(n, r, tb)
+            from_log2 = 2.0 ** entries[name].log2_value
+            assert linear != from_log2  # so the test sees which form was taken
+            assert entries[name].value == (linear if n <= 512 else from_log2)
+
     def test_small_lengths_skip_empty_layers(self):
         report = bound_report(2)
         entries = {e.name: e for e in report.entries}

@@ -294,3 +294,44 @@ class TestUsage:
         capsys.readouterr()
         run(["search", "max", "--n", "2"])
         assert "config" in out_json(capsys)
+
+
+LEAF_ARGVS = [
+    ["construct", "one-bounded", "--n", "4"],
+    ["construct", "triple", "--q", "2", "--sigma-seed", "3"],
+    ["construct", "recursive", "--t", "2", "--target", "12"],
+    ["verify", "t3.triff"],
+    ["verify", "bad.triff"],
+    ["verify", "--json", "bad.triff"],
+    ["search", "max", "--n", "2", "--table", "results.json"],
+    ["search", "max-r", "--n", "3", "--r", "1", "--oracle"],
+    ["bound", "report", "--n", "4", "--code", "c4.triff"],
+    ["bound", "zarankiewicz", "--u", "9", "--v", "9", "--s", "3", "--t", "9"],
+    ["bound", "transfer", "--n", "4", "--r", "1", "--tb", "8"],
+    ["bound", "deficit", "--r", "2", "--n", "9", "--tb", "12"],
+    ["graph", "build", "t2.triff", "--edges", "edges.txt"],
+    ["graph", "kst-check", "t3.triff", "--s", "1", "--t", "1"],
+    ["graph", "bipartition", "t2.triff", "--seed", "5", "--trials", "20"],
+    ["sample-shift", "c4.triff", "--r", "1", "--trials", "20", "--seed", "9"],
+    ["prune", "c4.triff"],
+    ["project", "t3.triff", "--best"],
+]
+
+
+@pytest.mark.parametrize("argv", LEAF_ARGVS, ids=" ".join)
+def test_output_option_writes_what_stdout_would_show(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    run(["construct", "triple", "--q", "2", "-o", "t3.triff"])
+    run(["project", "t3.triff", "--best", "-o", "t2.triff"])
+    run(["construct", "one-bounded", "--n", "4", "-o", "c4.triff"])
+    (tmp_path / "bad.triff").write_text("n=2\n00\n01\n10\n")
+    capsys.readouterr()
+    exit_code = run(argv)
+    printed = capsys.readouterr().out
+    target = tmp_path / "out.file"
+    assert run(argv + ["-o", str(target)]) == exit_code
+    assert capsys.readouterr().out == ""
+    # the echoed configuration is the one difference: it records the -o path
+    assert printed.count('"output": null') == 1
+    expected = printed.replace('"output": null', f'"output": {json.dumps(str(target))}')
+    assert target.read_text() == expected

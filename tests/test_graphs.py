@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -135,6 +136,24 @@ class TestBipartition:
     def test_sampling_needs_seed(self):
         with pytest.raises(ValueError):
             random_bipartition_check(simple_graph(4, {(0, 1)}), trials=5)
+
+    def test_exhaustive_check_holds_one_side_at_a_time(self):
+        # C(16, 8) = 12,870 sides: a list of their crossing fractions alone
+        # takes about 400 kB
+        g = simple_graph(16, {(i, (i + 1) % 16) for i in range(16)})
+        tracemalloc.start()
+        try:
+            st = random_bipartition_check(g, exhaustive=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        fractions = [
+            sum((u in side) != (v in side) for u, v in g.edges) / 16
+            for side in map(set, itertools.combinations(range(16), 8))
+        ]
+        assert st.trials == len(fractions) == 12870
+        assert st.mean_crossing_fraction == sum(fractions) / len(fractions)
 
 
 class TestSummaries:

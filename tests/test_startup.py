@@ -15,7 +15,15 @@ from trifference.constructions import one_bounded
 from trifference.core import write_triff
 
 SRC = str(Path(trifference.__file__).resolve().parents[1])
-WATCHED = ("numpy", "ctypes", "trifference.bounds", "trifference.constructions", "trifference.graphs")
+WATCHED = (
+    "numpy",
+    "ctypes",
+    "hashlib",
+    "fractions",
+    "trifference.bounds",
+    "trifference.constructions",
+    "trifference.graphs",
+)
 
 
 def fresh(script: str, cwd) -> dict:
