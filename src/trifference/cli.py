@@ -6,7 +6,10 @@ Exit codes: 0 on success, 1 when a verification finds a violating triple
 and echo it, so identical argv means identical output.
 
 Each handler returns (body, exit_code) and writes nothing; run renders the
-body once (_render) and writes it to -o or stdout.
+body once (_render) and writes it to -o or stdout.  A command that also
+writes a side file (search --table, graph build --edges) returns a third
+item, a function that writes it, which run calls only once the output is
+written, so a failed -o leaves every side file as it was.
 """
 
 from __future__ import annotations
@@ -114,14 +117,15 @@ def _cmd_search(args):
             oracle_check=args.oracle,
             oracle_cap=args.oracle_cap,
         )
-    if args.table:
-        try:
-            table = search.load_results_table(args.table)
-        except FileNotFoundError:
-            table = {}
-        search.record_certificate(table, cert)
-        search.save_results_table(args.table, table)
-    return search.certificate_to_json(cert), 0
+    body = search.certificate_to_json(cert)
+    if not args.table:
+        return body, 0
+    try:
+        table = search.load_results_table(args.table)
+    except FileNotFoundError:
+        table = {}
+    search.record_certificate(table, cert)
+    return body, 0, lambda: search.save_results_table(args.table, table)
 
 
 def _cmd_bound(args):
@@ -177,10 +181,15 @@ def _cmd_graph(args):
 
     g = _load_graph(args)
     if args.action == "build":
-        if args.edges:
+        if not args.edges:
+            return graphs.graph_summary(g), 0
+        edges = graphs.edge_list_text(g)
+
+        def write_edges():
             with open(args.edges, "w", encoding="utf-8") as fh:
-                fh.write(graphs.edge_list_text(g))
-        return graphs.graph_summary(g), 0
+                fh.write(edges)
+
+        return graphs.graph_summary(g), 0, write_edges
     if args.action == "kst-check":
         witness = graphs.contains_kst(g, args.s, args.t)
         body = {"s": args.s, "t": args.t, "free": witness is None, "witness": None}
@@ -338,20 +347,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse argv, run its handler, and write the rendered body to -o or stdout."""
+    """Parse argv, run its handler, write the rendered body to -o or stdout, then side files."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        body, exit_code = args.func(args)
+        body, exit_code, *side_files = args.func(args)
         text = _render(body, args)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
+        for write in side_files:
+            write()
         return exit_code
     except search.OracleDisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -122,15 +122,10 @@ class Codeword:
 
     @cached_property
     def string(self) -> str:
-        chars = []
-        for i in range(self.n):
-            if (self.mask2 >> i) & 1:
-                chars.append("2")
-            elif (self.mask1 >> i) & 1:
-                chars.append("1")
-            else:
-                chars.append("0")
-        return "".join(chars)
+        # read each mask's binary digits as hex digits, so that one sum puts
+        # symbol s in hex digit i; base 16, unlike base 10, has no digit limit
+        digits = int(format(self.mask1, "b"), 16) + 2 * int(format(self.mask2, "b"), 16)
+        return format(digits, f"0{self.n}x")[::-1]
 
     def __str__(self) -> str:
         return self.string

@@ -3,12 +3,13 @@
 The branch-and-bound engine walks candidate codewords in lexicographic order,
 keeps the incumbent, and prunes subtrees that cannot beat it, so the returned
 optimum is the lexicographically smallest one.  Candidate pools are Python
-big-int bitsets.  The pair masks that shrink them are built with the
-verifier's exact symbol-plane product (core._planes), one matrix product per
-word.  The support bound counts the pool's words per exact 2-location set by
-popcount.  The oracle re-solves small instances as a plain maximum
-independent set in the bad-triple hypergraph and shares no code path with
-the engine.
+big-int bitsets, and so are the pair masks that shrink them: each is an OR of
+per-coordinate symbol planes, so no search loads numpy.  The support bound
+counts the pool's words per exact 2-location set by popcount, where the
+pool's size alone does not prune.  Every triple of the best code is checked
+with core.is_trifferent_triple before it is certified.  The oracle re-solves
+small instances as a plain maximum independent set in the bad-triple
+hypergraph and shares no code path with the engine.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 from .core import (
     Code,
     Codeword,
-    _planes,
-    _symbol_matrix,
+    NotTrifferentError,
     count_A_r,
     format_triff,
     is_trifferent_triple,
@@ -124,32 +124,32 @@ def oracle_max(instance: BadTripleOracleInstance, cap: int = DEFAULT_ORACLE_CAP)
 
     No bounding, no symmetry breaking, no shared state with the search engine:
     every triple-free subset is visited.  Only usable on small universes.
+    Words are added in increasing order, and closes[a][b] (a < b) marks the
+    later words c that make (a, b, c) a bad triple, so a subset's banned mask
+    holds exactly the words that would break it.
     """
     m = len(instance.universe)
     _check_oracle_cap(m, cap)
-    bad = instance.bad_triples
+    closes = [[0] * m for _ in range(m)]
+    for triple in instance.bad_triples:
+        a, b, c = sorted(triple)
+        closes[a][b] |= 1 << c
     best = 0
 
-    def extend(chosen: list[int], start: int) -> None:
+    def extend(chosen: list[int], banned: int, start: int) -> None:
         nonlocal best
         if len(chosen) > best:
             best = len(chosen)
         for c in range(start, m):
-            ok = True
-            for ai in range(len(chosen)):
-                a = chosen[ai]
-                for bi in range(ai + 1, len(chosen)):
-                    if (a, chosen[bi], c) in bad:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if not (banned >> c) & 1:
+                grown = banned
+                for a in chosen:
+                    grown |= closes[a][c]
                 chosen.append(c)
-                extend(chosen, c + 1)
+                extend(chosen, grown, c + 1)
                 chosen.pop()
 
-    extend([], 0)
+    extend([], 0, 0)
     return best
 
 
@@ -182,26 +182,29 @@ def _config_hash(config: dict) -> str:
 def _pair_compat_masks(universe: list[Codeword]) -> list[list[int]]:
     """compat[i][j] = bitmask of w such that the triple (i, j, w) is trifferent.
 
-    The counts come from the verifier's exact plane product (core._scan_rows):
-    with E, F marking where each word holds U_i + 1 and U_i + 2 (mod 3),
-    [E F] [F E]^T counts, for every pair (j, w), the coordinates at which
-    i, j and w show all three symbols.  The count is 0 when w is i or j, as
-    no word holds both U_i + 1 and U_i + 2 at one coordinate, so positions i
-    and j are never set (a triple needs distinct words).
+    planes[c][s] marks the words holding s at coordinate c.  When i holds a
+    and j holds b != a at c, the words completing (i, j) there hold 3 - a - b,
+    so for word i, tables[c][b] is that plane (0 when b = a) and compat[i][j]
+    ORs j's entries over the coordinates.  Neither i nor j ever holds the
+    third symbol, so bits i and j stay clear (a triple needs distinct words).
     """
-    import numpy as np
-
-    m = len(universe)
-    U = _symbol_matrix([w.string for w in universe], universe[0].n)
-    width = (m + 7) // 8
+    m, n = len(universe), universe[0].n
+    symbols = [tuple(map(int, w.string)) for w in universe]
+    planes = [[0, 0, 0] for _ in range(n)]
+    for idx, word in enumerate(symbols):
+        for c, s in enumerate(word):
+            planes[c][s] |= 1 << idx
     compat: list[list[int]] = [[0] * m for _ in range(m)]
     for i in range(m - 1):
-        up1, up2 = (U[i] + 1) % 3, (U[i] + 2) % 3
-        ok = (_planes(U[i + 1 :], (up1, up2)) @ _planes(U, (up2, up1)).T) > 0
-        packed = np.packbits(ok, axis=1, bitorder="little").tobytes()
+        tables = [
+            [plane[3 - a - b] if b != a else 0 for b in range(3)]
+            for a, plane in zip(symbols[i], planes)
+        ]
         for j in range(i + 1, m):
-            at = (j - i - 1) * width
-            compat[i][j] = compat[j][i] = int.from_bytes(packed[at : at + width], "little")
+            mask = 0
+            for table, b in zip(tables, symbols[j]):
+                mask |= table[b]
+            compat[i][j] = compat[j][i] = mask
     return compat
 
 
@@ -260,13 +263,14 @@ def _branch_and_bound(
                 new_pool &= row[c]
                 if not new_pool:
                     break
-            if by_support:
+            slack = new_pool.bit_count()
+            if by_support and depth + 1 + slack > best_size:
+                # the per-class slack is at most the pool's size, so it is
+                # counted only when the size alone does not prune
                 slack = 0
                 for room, S in live:
                     k = (new_pool & S).bit_count()
                     slack += k if k < room else room
-            else:
-                slack = new_pool.bit_count()
             if depth + 1 + slack > best_size:
                 chosen.append(c)
                 rows.append(compat[c])
@@ -325,7 +329,14 @@ def _certificate(
     oracle_cap: int,
     config: dict,
 ) -> SearchCertificate:
-    """Certificate for code, cross-checked by the oracle over oracle_universe."""
+    """Certificate for code, cross-checked by the oracle over oracle_universe.
+
+    Every triple of code is checked first, so no certificate carries a code
+    that failed the triple check, whatever the pair masks said.
+    """
+    for x, y, z in itertools.combinations(code.codewords, 3):
+        if not is_trifferent_triple(x, y, z):
+            raise NotTrifferentError(f"search result is not trifferent: {x}, {y}, {z}")
     if oracle_universe is not None:
         oracle_size = oracle_max(enumerate_bad_triples(oracle_universe), cap=oracle_cap)
         if completed and oracle_size != len(code):

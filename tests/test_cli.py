@@ -335,3 +335,23 @@ def test_output_option_writes_what_stdout_would_show(tmp_path, monkeypatch, caps
     assert printed.count('"output": null') == 1
     expected = printed.replace('"output": null', f'"output": {json.dumps(str(target))}')
     assert target.read_text() == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "max", "--n", "2", "--table", "side.file"],
+        ["graph", "build", "t2.triff", "--edges", "side.file"],
+    ],
+    ids=" ".join,
+)
+def test_side_file_waits_for_the_output(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    run(["construct", "triple", "--q", "2", "-o", "t3.triff"])
+    run(["project", "t3.triff", "--best", "-o", "t2.triff"])
+    capsys.readouterr()
+    assert run(argv + ["-o", "nodir/x.json"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "side.file").exists()
+    assert run(argv + ["-o", "x.json"]) == 0
+    assert (tmp_path / "side.file").exists()

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trifference.core import Codeword, naive_trifferent_triple, verify_trifferent
+from trifference.core import (
+    Codeword,
+    NotTrifferentError,
+    naive_trifferent_triple,
+    verify_trifferent,
+)
 from trifference.search import (
     LOWER_BOUND,
     OPTIMAL,
@@ -93,6 +98,16 @@ def test_pair_masks_match_the_naive_triple_check(universe):
         for i in range(m)
     ]
     assert _pair_compat_masks(universe) == want
+
+
+def test_certificate_rejects_a_code_that_fails_the_triple_check(monkeypatch):
+    def every_pair_compatible(universe):
+        m = len(universe)
+        return [[((1 << m) - 1) & ~(1 << i | 1 << j) for j in range(m)] for i in range(m)]
+
+    monkeypatch.setattr("trifference.search._pair_compat_masks", every_pair_compatible)
+    with pytest.raises(NotTrifferentError, match="not trifferent"):
+        max_trifferent(2)
 
 
 @pytest.mark.parametrize(

@@ -72,6 +72,18 @@ def test_commands_that_never_scan_run_without_numpy(tmp_path):
     assert out == {"rcs": [0, 0], "loaded": ["trifference.bounds"]}
 
 
+def test_search_runs_without_numpy(tmp_path):
+    out = loaded_after(
+        [
+            ["search", "max", "--n", "3", "--oracle"],
+            ["search", "max-r", "--n", "4", "--r", "1", "--table", "t.json"],
+        ],
+        tmp_path,
+    )
+    assert out["rcs"] == [0, 0]
+    assert "numpy" not in out["loaded"]
+
+
 def test_verify_loads_numpy(tmp_path):
     write_triff(one_bounded(4), tmp_path / "c.triff")
     out = loaded_after([["verify", "c.triff"]], tmp_path)
