@@ -10,7 +10,7 @@ in log2 alongside the linear form so the comparisons stay finite at n = 10^9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Code
 
@@ -189,8 +189,7 @@ def crossover_n0(grid=DEFAULT_CROSSOVER_GRID) -> int | None:
     return best
 
 
-@dataclass(frozen=True)
-class DeficitEstimate:
+class DeficitEstimate(NamedTuple):
     """delta = r - log(tb) / log(n); direction is inherited from the tb flag.
 
     A lower bound on the layer maximum makes delta an upper estimate of the
@@ -245,8 +244,7 @@ def rate(code: Code) -> float | None:
     return math.log2(len(code) / 2.0) / code.n
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     name: str
     value: float | None
     log2_value: float | None
@@ -254,8 +252,7 @@ class BoundEntry:
     provenance: str
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All applicable upper bounds at one length, plus rates of supplied codes."""
 
     n: int

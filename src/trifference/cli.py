@@ -15,14 +15,13 @@ written, so a failed -o leaves every side file as it was.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 
-# the parser reads search's defaults; the other layers are imported by the
-# handlers that use them, so each command loads only what it runs
-from . import core, search
+# the other layers are imported by the handlers that use them, so each
+# command loads only what it runs
+from . import core
 
 SCHEMA = 1
 
@@ -96,6 +95,17 @@ def _cmd_verify(args):
 
 
 def _cmd_search(args):
+    from . import search
+
+    # the parser leaves the caps None, so that it needs no search import;
+    # they are filled in here, before the config echo reads them
+    for name, default in (
+        ("cap", search.DEFAULT_N_CAP),
+        ("universe_cap", search.DEFAULT_UNIVERSE_CAP),
+        ("oracle_cap", search.DEFAULT_ORACLE_CAP),
+    ):
+        if getattr(args, name, default) is None:
+            setattr(args, name, default)
     if args.mode == "max":
         cert = search.max_trifferent(
             args.n,
@@ -151,7 +161,11 @@ def _cmd_bound(args):
         est = bounds.deficit(args.n, args.r, args.tb, tb_kind=args.kind)
         return {"delta": est.delta, "delta_kind": est.delta_kind}, 0
     # report
-    exact = search.load_results_table(args.exact_table) if args.exact_table else None
+    exact = None
+    if args.exact_table:
+        from . import search
+
+        exact = search.load_results_table(args.exact_table)
     codes = {path: core.read_triff(path) for path in args.code or []}
     return bounds.bound_report(args.n, exact_tb=exact, codes=codes).to_json(), 0
 
@@ -200,7 +214,7 @@ def _cmd_graph(args):
     stats = graphs.random_bipartition_check(
         g, seed=args.seed, trials=args.trials, exhaustive=args.exhaustive
     )
-    return dataclasses.asdict(stats), 0
+    return stats._asdict(), 0
 
 
 def _cmd_sample_shift(args):
@@ -209,7 +223,7 @@ def _cmd_sample_shift(args):
         code, args.r, trials=args.trials, seed=args.seed, exhaustive=args.exhaustive
     )
     return {
-        **dataclasses.asdict(stats),
+        **stats._asdict(),
         "mean": stats.mean,
         "mean_fraction": str(stats.mean_fraction),
         "expectation": str(stats.expectation),
@@ -274,17 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
     m_max = leaf(mode, "max", _cmd_search)
     m_max.add_argument("--n", type=int, required=True)
     m_max.add_argument("--budget", type=int, default=None)
-    m_max.add_argument("--cap", type=int, default=search.DEFAULT_N_CAP)
+    m_max.add_argument("--cap", type=int, default=None)
     m_r = leaf(mode, "max-r", _cmd_search)
     m_r.add_argument("--n", type=int, required=True)
     m_r.add_argument("--r", type=int, required=True)
     m_r.add_argument("--budget", type=int, default=None)
-    m_r.add_argument("--universe-cap", type=int, default=search.DEFAULT_UNIVERSE_CAP)
+    m_r.add_argument("--universe-cap", type=int, default=None)
     for m in (m_max, m_r):
         m.add_argument("--no-symmetry", action="store_true")
         m.add_argument("--bound", choices=["size", "support"], default=None)
         m.add_argument("--oracle", action="store_true")
-        m.add_argument("--oracle-cap", type=int, default=search.DEFAULT_ORACLE_CAP)
+        m.add_argument("--oracle-cap", type=int, default=None)
         m.add_argument("--table", help="results table JSON to update")
 
     p = sub.add_parser("bound", help="bounds and reports")
@@ -364,7 +378,7 @@ def run(argv=None) -> int:
         for write in side_files:
             write()
         return exit_code
-    except search.OracleDisagreementError as exc:
+    except core.OracleDisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
-from .core import Code, Codeword, verify_trifferent
+from .core import Code, Codeword, _Frozen, verify_trifferent
 
 __all__ = [
     "AffineLine",
@@ -56,20 +56,25 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AffineLine:
-    """A line of the affine plane over F_q: y = m*x + c, or x = c when m is None."""
+class AffineLine(_Frozen):
+    """A line of the affine plane over F_q: y = m*x + c, or x = c when m is None.
 
-    m: int | None
-    c: int
+    A plain class rather than a tuple, so that a line never equals a point.
+    """
+
+    _fields = ("m", "c")
+
+    def __init__(self, m: int | None, c: int):
+        d = self.__dict__
+        d["m"] = m
+        d["c"] = c
 
     def key(self) -> tuple:
         # slope lines in (m, c) lex order, then verticals by c
         return (1, 0, self.c) if self.m is None else (0, self.m, self.c)
 
 
-@dataclass(frozen=True)
-class AffineIncidence:
+class AffineIncidence(NamedTuple):
     """Points, lines, and point-line flags of the affine plane over F_q (q prime).
 
     Each line carries one fixed-point-free permutation sigma of its q points:

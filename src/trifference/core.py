@@ -16,10 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -33,6 +32,7 @@ __all__ = [
     "ShiftSampleStats",
     "TriffParseError",
     "NotTrifferentError",
+    "OracleDisagreementError",
     "TRIFFERENT",
     "NOT_TRIFFERENT",
     "is_trifferent_triple",
@@ -78,8 +78,48 @@ class NotTrifferentError(ValueError):
     """Raised when an operation requires a trifferent code but the input is not one."""
 
 
-@dataclass(frozen=True)
-class Codeword:
+class OracleDisagreementError(RuntimeError):
+    """A search's result contradicts the exhaustive oracle's optimum.
+
+    Defined here, and re-exported by search, so that the CLI can catch it
+    without importing search on every command.
+    """
+
+
+class _Frozen:
+    """Base of the immutable plain classes: __init__ fills __dict__ directly.
+
+    Instances of one class are equal, and hash alike, when their _fields
+    are; __repr__ shows those fields.  Assigning or deleting an attribute
+    raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Codeword(_Frozen):
     """A length-n word over {0,1,2} stored as one bitmask per symbol.
 
     Bit i of mask_s is set iff coordinate i holds symbol s.  The three masks
@@ -87,22 +127,36 @@ class Codeword:
     downstream mask arithmetic never has to re-check it.
     """
 
-    n: int
-    mask0: int
-    mask1: int
-    mask2: int
+    _fields = ("n", "mask0", "mask1", "mask2")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, mask0: int, mask1: int, mask2: int):
+        if n < 1:
             raise ValueError("codeword length must be positive")
-        if min(self.mask0, self.mask1, self.mask2) < 0:
+        if min(mask0, mask1, mask2) < 0:
             raise ValueError("bitplanes must be nonnegative")
-        full = (1 << self.n) - 1
-        if (self.mask0 | self.mask1 | self.mask2) != full or (
-            self.mask0 + self.mask1 + self.mask2
-        ) != full:
+        full = (1 << n) - 1
+        if (mask0 | mask1 | mask2) != full or (mask0 + mask1 + mask2) != full:
             # equality of OR and sum forces pairwise disjointness
             raise ValueError("bitplanes must partition the coordinate set")
+        d = self.__dict__
+        d["n"] = n
+        d["mask0"] = mask0
+        d["mask1"] = mask1
+        d["mask2"] = mask2
+
+    # spelled out, as triple checks compare words often
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.mask0 == other.mask0
+            and self.mask1 == other.mask1
+            and self.mask2 == other.mask2
+            and self.n == other.n
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask0, self.mask1, self.mask2))
 
     @classmethod
     def from_string(cls, s: str) -> "Codeword":
@@ -150,8 +204,7 @@ class Codeword:
         return tuple(locs)
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(_Frozen):
     """A duplicate-free set of equal-length codewords, stored lexicographically.
 
     r_bound is derived at construction: it is set to r exactly when every
@@ -159,33 +212,28 @@ class Code:
     Comment lines (leading '#') survive .triff round trips.
     """
 
-    n: int
-    codewords: tuple[Codeword, ...]
-    comments: tuple[str, ...] = ()
-    r_bound: int | None = field(init=False, default=None)
+    _fields = ("n", "codewords", "comments", "r_bound")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, codewords, comments=()):
+        if n < 1:
             raise ValueError("block length must be positive")
-        words = sorted(self.codewords, key=lambda w: w.string)
+        words = sorted(codewords, key=lambda w: w.string)
         for w in words:
-            if w.n != self.n:
-                raise ValueError(
-                    f"codeword {w} has length {w.n}, expected {self.n}"
-                )
+            if w.n != n:
+                raise ValueError(f"codeword {w} has length {w.n}, expected {n}")
         for a, b in zip(words, words[1:]):
             if a == b:
                 raise ValueError(f"duplicate codeword {a}")
-        comments = tuple(self.comments)
+        comments = tuple(comments)
         for c in comments:
             if not c.startswith("#"):
                 raise ValueError("comment lines must start with '#'")
-        object.__setattr__(self, "codewords", tuple(words))
-        object.__setattr__(self, "comments", comments)
         two_counts = {w.count_twos for w in words}
-        object.__setattr__(
-            self, "r_bound", two_counts.pop() if len(two_counts) == 1 else None
-        )
+        d = self.__dict__
+        d["n"] = n
+        d["codewords"] = tuple(words)
+        d["comments"] = comments
+        d["r_bound"] = two_counts.pop() if len(two_counts) == 1 else None
 
     @classmethod
     def from_strings(cls, strings, n: int | None = None, comments=()) -> "Code":
@@ -206,8 +254,7 @@ class Code:
         return tuple(w.string for w in self.codewords)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Outcome of verify_trifferent; witness is the lex-smallest violating triple."""
 
     status: str
@@ -449,8 +496,7 @@ def _all_shifts(n: int):
         yield np.hstack((heads, tails))
 
 
-@dataclass(frozen=True)
-class ShiftSampleStats:
+class ShiftSampleStats(NamedTuple):
     """Counts of |(C+v) ∩ A_r| over sampled (or all) shift vectors v.
 
     max_count is a certified lower bound on the largest r-bounded trifferent

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
-from .core import Code
+from .core import Code, _Frozen
 
 __all__ = [
     "DerivedGraph",
@@ -34,18 +34,24 @@ SIMPLE = "simple"
 BIPARTITE = "bipartite"
 
 
-@dataclass(frozen=True, eq=False)
-class DerivedGraph:
+class DerivedGraph(_Frozen):
     """Vertices 0..n-1 on the left; edges annotated with originating codeword indices.
 
     Simple graphs key edges as (i, j) with i < j.  Bipartite graphs key them
     as (i, (j, k)) with j < k; right vertices exist only as far as edges
     mention them.  Synthetic graphs may carry empty annotation tuples.
+    Graphs compare by identity.
     """
 
-    kind: str
-    n: int
-    edges: dict
+    _fields = ("kind", "n", "edges")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, kind: str, n: int, edges: dict):
+        d = self.__dict__
+        d["kind"] = kind
+        d["n"] = n
+        d["edges"] = edges
 
     @property
     def edge_count(self) -> int:
@@ -113,8 +119,7 @@ def build_graph_r3(code: Code) -> DerivedGraph:
     return DerivedGraph(kind=BIPARTITE, n=code.n, edges=table)
 
 
-@dataclass(frozen=True)
-class KstWitness:
+class KstWitness(NamedTuple):
     """A complete bipartite K_{s,t}: every left vertex adjacent to every right vertex."""
 
     left: tuple
@@ -195,8 +200,7 @@ def witness_is_valid(g: DerivedGraph, witness: KstWitness) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BipartitionStats:
+class BipartitionStats(NamedTuple):
     """Edge-crossing fractions of random (or all) balanced vertex bipartitions."""
 
     n: int

@@ -18,12 +18,13 @@ import contextlib
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     Code,
     Codeword,
     NotTrifferentError,
+    OracleDisagreementError,
     count_A_r,
     format_triff,
     is_trifferent_triple,
@@ -86,8 +87,7 @@ def a_r_universe(n: int, r: int) -> list[Codeword]:
     return out
 
 
-@dataclass(frozen=True)
-class BadTripleOracleInstance:
+class BadTripleOracleInstance(NamedTuple):
     """A candidate universe plus the set of its non-trifferent index triples."""
 
     universe: tuple[Codeword, ...]
@@ -108,10 +108,6 @@ def enumerate_bad_triples(universe) -> BadTripleOracleInstance:
         if not is_trifferent_triple(words[i], words[j], words[k])
     )
     return BadTripleOracleInstance(universe=words, bad_triples=bad)
-
-
-class OracleDisagreementError(RuntimeError):
-    """The search's result contradicts the exhaustive oracle's optimum."""
 
 
 def _check_oracle_cap(size: int, cap: int) -> None:
@@ -153,8 +149,7 @@ def oracle_max(instance: BadTripleOracleInstance, cap: int = DEFAULT_ORACLE_CAP)
     return best
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
+class SearchCertificate(NamedTuple):
     """Outcome of one exact search run.
 
     status is "optimal" when the tree was exhausted, "lower-bound" when the
@@ -480,7 +475,11 @@ def _is_int(value) -> bool:
 
 
 def load_results_table(path) -> dict:
-    """Read a table written by save_results_table; ValueError on a bad entry."""
+    """Read a table written by save_results_table; ValueError on a bad entry.
+
+    A size that no code of its (n, r) can have, above the universe's size or
+    below min(2, that size), is a bad entry.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or data.get("schema") != 1:
@@ -504,6 +503,17 @@ def load_results_table(path) -> dict:
             )
         if not (_is_int(size) and size >= 0):
             raise ValueError(f"results table entry {k}: size must be an integer >= 0")
+        # the optimum lies between min(2, universe) and the universe's size;
+        # a universe holds at least 2**free words, so only one with no more
+        # free coordinates than size has bits can be smaller than size
+        free = n if r is None else n - r
+        universe = float("inf")
+        if free <= size.bit_length():
+            universe = 3**n if r is None else count_A_r(n, r)
+        if not min(2, universe) <= size <= universe:
+            raise ValueError(
+                f"results table entry {k}: no largest code of n={n}, r={r} has size {size}"
+            )
         if (n, r) in table:
             raise ValueError(f"results table entry {k}: duplicate key n={n}, r={r}")
         table[(n, r)] = size

@@ -133,6 +133,7 @@ class TestSearch:
         [
             (["bound", "report", "--n", "6", "--exact-table"], {"n": 5, "size": 10}),
             (["search", "max", "--n", "2", "--table"], {"n": 5, "r": 2}),
+            (["bound", "report", "--n", "5", "--exact-table"], {"n": 5, "r": 2, "size": 1}),
         ],
     )
     def test_malformed_table_is_a_usage_error(self, tmp_path, capsys, argv, entry):
@@ -294,6 +295,99 @@ class TestUsage:
         capsys.readouterr()
         run(["search", "max", "--n", "2"])
         assert "config" in out_json(capsys)
+
+
+# Full bodies of the commands that print a whole statistics record, as the
+# record classes gave them before they became NamedTuples.
+GOLDEN_BODIES = [
+    (
+        ["sample-shift", "c4.triff", "--r", "1", "--trials", "50", "--seed", "9"],
+        {
+            "code_size": 8,
+            "config": {
+                "code": "c4.triff",
+                "command": "sample-shift",
+                "exhaustive": False,
+                "output": None,
+                "r": 1,
+                "seed": 9,
+                "trials": 50,
+            },
+            "exhaustive": False,
+            "expectation": "256/81",
+            "expectation_float": 3.1604938271604937,
+            "max_count": 6,
+            "mean": 3.1,
+            "mean_fraction": "31/10",
+            "n": 4,
+            "r": 1,
+            "schema": 1,
+            "seed": 9,
+            "trials": 50,
+        },
+    ),
+    (
+        ["sample-shift", "c3.triff", "--r", "1", "--exhaustive"],
+        {
+            "code_size": 6,
+            "config": {
+                "code": "c3.triff",
+                "command": "sample-shift",
+                "exhaustive": True,
+                "output": None,
+                "r": 1,
+                "seed": None,
+                "trials": 10000,
+            },
+            "exhaustive": True,
+            "expectation": "8/3",
+            "expectation_float": 2.6666666666666665,
+            "max_count": 6,
+            "mean": 2.6666666666666665,
+            "mean_fraction": "8/3",
+            "n": 3,
+            "r": 1,
+            "schema": 1,
+            "seed": None,
+            "trials": 27,
+        },
+    ),
+    (
+        ["graph", "bipartition", "t2.triff", "--seed", "5", "--trials", "20"],
+        {
+            "config": {
+                "action": "bipartition",
+                "code": "t2.triff",
+                "command": "graph",
+                "exhaustive": False,
+                "kind": "auto",
+                "output": None,
+                "seed": 5,
+                "trials": 20,
+            },
+            "edge_count": 4,
+            "exhaustive": False,
+            "expected_edge_crossing": 0.5714285714285714,
+            "mean_crossing_fraction": 0.575,
+            "n": 8,
+            "schema": 1,
+            "seed": 5,
+            "trials": 20,
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, body", GOLDEN_BODIES, ids=[" ".join(a) for a, _ in GOLDEN_BODIES])
+def test_statistics_bodies_are_pinned(tmp_path, monkeypatch, capsys, argv, body):
+    monkeypatch.chdir(tmp_path)
+    run(["construct", "one-bounded", "--n", "4", "-o", "c4.triff"])
+    run(["construct", "one-bounded", "--n", "3", "-o", "c3.triff"])
+    run(["construct", "triple", "--q", "2", "-o", "t3.triff"])
+    run(["project", "t3.triff", "--best", "-o", "t2.triff"])
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert out_json(capsys) == body
 
 
 LEAF_ARGVS = [

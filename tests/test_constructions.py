@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from trifference.constructions import (
+    AffineLine,
     affine_plane,
     fpf_permutation,
     one_bounded,
@@ -78,6 +79,17 @@ class TestAffinePlane:
         plane = affine_plane(2)
         with pytest.raises(ValueError):
             fpf_permutation(plane, ("no", "such"))
+
+    def test_a_line_is_not_a_point(self):
+        # lines and points are both keyed by two integers
+        plane = affine_plane(3)
+        line = plane.lines[1]
+        assert (line.m, line.c) in plane.points
+        assert line != (line.m, line.c) and line == AffineLine(line.m, line.c)
+        with pytest.raises(ValueError):
+            fpf_permutation(plane, (line.m, line.c))
+        with pytest.raises(AttributeError):
+            line.c = 2
 
     def test_nonprime_order_rejected(self):
         for q in (0, 1, 4, 6, 9):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trifference.core import (
+    NOT_TRIFFERENT,
     Code,
     Codeword,
     NotTrifferentError,
@@ -24,6 +25,7 @@ from trifference.core import (
     shift,
     shift_density_sample,
     support_multiplicities,
+    VerificationResult,
     verify_trifferent,
     write_triff,
 )
@@ -76,6 +78,9 @@ class TestCode:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             code_of("01", "01")
+        # one copy from a string (its string cached), one from masks
+        with pytest.raises(ValueError, match="duplicate codeword 0212"):
+            Code(4, (cw("0212"), Codeword(4, mask0=0b0001, mask1=0b0100, mask2=0b1010)))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -85,6 +90,57 @@ class TestCode:
         assert code_of("20", "02").r_bound == 1
         assert code_of("20", "22").r_bound is None
         assert Code(3, ()).r_bound is None
+
+
+def _certificate(n):
+    from trifference.search import max_trifferent
+
+    return max_trifferent(n)
+
+
+# each record type: two builds from equal fields, and one from other fields
+RECORDS = {
+    "Codeword": (
+        lambda: Codeword.from_string("0212"),
+        lambda: Codeword(4, mask0=0b0001, mask1=0b0100, mask2=0b1010),
+        lambda: Codeword.from_string("0211"),
+    ),
+    "Code": (
+        lambda: code_of("20", "02"),
+        lambda: Code(2, (Codeword(2, 0b01, 0, 0b10), cw("20"))),
+        lambda: Code(2, (cw("20"), cw("02")), comments=("# other",)),
+    ),
+    "VerificationResult": (
+        lambda: verify_trifferent(code_of("00", "01", "10")),
+        lambda: VerificationResult(NOT_TRIFFERENT, (0, 1, 2)),
+        lambda: verify_trifferent(code_of("00", "01")),
+    ),
+    "SearchCertificate": (
+        lambda: _certificate(2),
+        lambda: _certificate(2),
+        lambda: _certificate(3),
+    ),
+    "ShiftSampleStats": (
+        lambda: shift_density_sample(one_bounded(3), 1, trials=40, seed=2),
+        lambda: shift_density_sample(one_bounded(3), 1, trials=40, seed=2),
+        lambda: shift_density_sample(one_bounded(3), 1, trials=40, seed=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("builders", RECORDS.values(), ids=RECORDS.keys())
+def test_records_compare_by_value_and_are_immutable(builders):
+    first, same, other = (build() for build in builders)
+    assert first == same and hash(first) == hash(same)
+    assert first != other
+    field = "n" if hasattr(first, "n") else "status"
+    with pytest.raises(AttributeError):
+        setattr(first, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        first.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(first, field)
+    assert first == same
 
 
 class TestTripleCheck:

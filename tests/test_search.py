@@ -269,6 +269,35 @@ class TestResultsTable:
         with pytest.raises(ValueError):
             load_results_table(path)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"n": 3, "r": None, "size": 28},  # 27 words in {0,1,2}^3
+            {"n": 5, "r": 2, "size": 81},  # C(5,2) * 2^3 = 80 words
+            {"n": 2, "r": 2, "size": 2},  # the one word 22
+            {"n": 5, "r": 2, "size": 1},  # any two words of a layer are trifferent
+            {"n": 4, "r": None, "size": 0},
+            {"n": 2, "r": 2, "size": 0},
+        ],
+        ids=["above-full", "above-layer", "above-one-word", "below-layer", "below-full", "below-one-word"],
+    )
+    def test_size_outside_min_two_and_the_universe_rejected(self, tmp_path, entry):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"schema": 1, "entries": [entry]}))
+        with pytest.raises(ValueError, match="no largest code"):
+            load_results_table(path)
+
+    def test_sizes_at_the_limits_load(self, tmp_path):
+        entries = [
+            {"n": 3, "r": None, "size": 27},
+            {"n": 5, "r": 2, "size": 80},
+            {"n": 5, "r": 5, "size": 1},  # the one word 22222
+            {"n": 10**9, "r": None, "size": 2},  # no 3^n is computed
+        ]
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps({"schema": 1, "entries": entries}))
+        assert sorted(load_results_table(path).values()) == [1, 2, 27, 80]
+
     def test_failed_write_keeps_the_old_table(self, tmp_path):
         path = tmp_path / "results.json"
         save_results_table(path, {(3, 1): 6})

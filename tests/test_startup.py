@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import trifference
 from trifference.constructions import one_bounded
 from trifference.core import write_triff
@@ -20,9 +22,12 @@ WATCHED = (
     "ctypes",
     "hashlib",
     "fractions",
+    "dataclasses",
+    "inspect",
     "trifference.bounds",
     "trifference.constructions",
     "trifference.graphs",
+    "trifference.search",
 )
 
 
@@ -70,6 +75,39 @@ def test_commands_that_never_scan_run_without_numpy(tmp_path):
         tmp_path,
     )
     assert out == {"rcs": [0, 0], "loaded": ["trifference.bounds"]}
+
+
+def test_short_commands_run_without_dataclasses_inspect_or_search(tmp_path):
+    write_triff(one_bounded(4), tmp_path / "c.triff")
+    (tmp_path / "r2.triff").write_text("n=4\nr=2\n2200\n2020\n0202\n")
+    out = loaded_after(
+        [
+            ["prune", "c.triff"],
+            ["construct", "one-bounded", "--n", "5"],
+            ["graph", "kst-check", "r2.triff", "--s", "1", "--t", "2"],
+            ["bound", "zarankiewicz", "--u", "9", "--v", "9", "--s", "3", "--t", "9"],
+        ],
+        tmp_path,
+    )
+    assert out == {
+        "rcs": [0, 0, 0, 0],
+        "loaded": ["trifference.bounds", "trifference.constructions", "trifference.graphs"],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "max", "--n", "3"],
+        ["bound", "report", "--n", "4", "--exact-table", "t.json"],
+    ],
+    ids=" ".join,
+)
+def test_commands_that_search_load_search(tmp_path, argv):
+    (tmp_path / "t.json").write_text('{"schema": 1, "entries": [{"n": 4, "r": 1, "size": 8}]}')
+    out = loaded_after([argv], tmp_path)
+    assert out["rcs"] == [0]
+    assert "trifference.search" in out["loaded"]
 
 
 def test_search_runs_without_numpy(tmp_path):
