@@ -8,14 +8,18 @@ stay exact: every product term is 0 or 1, so each partial sum is an integer
 no larger than the number of terms, which is kept below 2**24 (see _planes).
 numpy is imported inside the kernels that use it, and fractions inside shift
 sampling, so a command that never scans (a bound, prune, project or graph)
-starts without them.
+starts without them.  Codes with few triples are verified by mask arithmetic
+alone, and a verification split over worker processes loads numpy only in
+the workers.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
+import sys
 from functools import cached_property
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
@@ -359,10 +363,17 @@ def _scan_rows(
     return None
 
 
-# Starting a worker process costs tens of milliseconds, so each must get at
-# least this much scan work (word pairs times coordinates, on the order of
-# 0.1 s of scanning); below that, fewer processes finish sooner.
+# Starting a worker process costs tens of milliseconds, and each worker pays
+# its own numpy import (about 50 ms), so each must get at least this much
+# scan work (word pairs times coordinates, on the order of 0.1 s of
+# scanning); below that, fewer processes finish sooner.
 _MIN_PROCESS_WORK = 2 * 10**9
+
+# Codes with at most this many triples are checked one triple at a time by
+# is_trifferent_triple, about 1 us each against 50 ms or more to import
+# numpy for the scan.  The 30- and 36-word base codes that the affine triple
+# construction uses for q = 5 fall under it.
+_MAX_PYTHON_TRIPLES = 10**4
 
 
 def _scan_plan(m: int, n: int, workers: int, cpus: int) -> list[tuple[int, int]]:
@@ -372,13 +383,11 @@ def _scan_plan(m: int, n: int, workers: int, cpus: int) -> list[tuple[int, int]]
     as (m - 1 - i)^2 * n.  There are at most min(workers, cpus, m - 2) of
     them, and one unless each gets _MIN_PROCESS_WORK.
     """
-    import numpy as np
-
     rows = m - 2
-    work = np.concatenate(([0], np.cumsum((m - 1 - np.arange(rows)) ** 2)))
-    parts = max(1, min(workers, cpus, rows, int(work[-1]) * n // _MIN_PROCESS_WORK))
-    cuts = np.searchsorted(work, [work[-1] * t // parts for t in range(1, parts)])
-    bounds = sorted({0, rows, *(int(c) for c in cuts)})
+    work = list(itertools.accumulate(((m - 1 - i) ** 2 for i in range(rows)), initial=0))
+    parts = max(1, min(workers, cpus, rows, work[-1] * n // _MIN_PROCESS_WORK))
+    cuts = [bisect.bisect_left(work, work[-1] * t // parts) for t in range(1, parts)]
+    bounds = sorted({0, rows, *cuts})
     return list(zip(bounds, bounds[1:]))
 
 
@@ -386,8 +395,11 @@ def _pin_blas_threads() -> None:
     """Run the OpenBLAS that numpy loaded with one thread in this process.
 
     Each worker process already owns a core; BLAS threads on top of the
-    workers would only oversubscribe them.  Best effort: where the loaded
-    libraries cannot be listed, BLAS keeps its default.
+    workers would only oversubscribe them.  A worker forked from a process
+    without numpy sets OPENBLAS_NUM_THREADS instead (_start_scan_worker);
+    this is for one forked after numpy was loaded, when that variable comes
+    too late.  Best effort: where the loaded libraries cannot be listed,
+    BLAS keeps its default.
     """
     import ctypes
 
@@ -410,34 +422,53 @@ def _pin_blas_threads() -> None:
                 break
 
 
+def _start_scan_worker() -> None:
+    """Give this worker process one BLAS thread, before or after numpy loads."""
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    if "numpy" in sys.modules:
+        _pin_blas_threads()
+
+
+def _scan_words(words: str, n: int, i_lo: int, i_hi: int) -> tuple[int, int, int] | None:
+    """_scan_rows over the words joined in one string, each n long."""
+    return _scan_rows(_symbol_matrix([words], n), i_lo, i_hi)
+
+
 def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
     """Check every codeword triple; codes of size at most 2 pass vacuously.
 
-    The scan makes one matrix product per word (see _scan_rows), so memory
-    stays O(m*n + m^2) for m words of length n.  The witness, when present,
-    is the lexicographically smallest violating index triple into the sorted
-    codeword list regardless of the worker count.  With workers > 1 the rows
-    are split by work (_scan_plan) over at most min(workers, cpu count)
-    processes; small scans stay in this process.
+    A code with at most _MAX_PYTHON_TRIPLES triples is checked triple by
+    triple.  Larger ones are scanned with one matrix product per word (see
+    _scan_rows), so memory stays O(m*n + m^2) for m words of length n.  The
+    witness, when present, is the lexicographically smallest violating index
+    triple into the sorted codeword list regardless of the path or the worker
+    count.  With workers > 1 the rows are split by work (_scan_plan) over at
+    most min(workers, cpu count) processes; small scans stay in this process.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     m = len(code)
-    if m <= 2:
+    if math.comb(m, 3) <= _MAX_PYTHON_TRIPLES:
+        words = code.codewords
+        for i, j, k in itertools.combinations(range(m), 3):
+            if not is_trifferent_triple(words[i], words[j], words[k]):
+                return VerificationResult(NOT_TRIFFERENT, (i, j, k))
         return VerificationResult(TRIFFERENT, None)
-    U = _symbol_matrix(code.strings(), code.n)
     plan = _scan_plan(m, code.n, workers, os.cpu_count() or 1)
     if len(plan) == 1:
-        witness = _scan_rows(U, 0, m - 2)
+        witness = _scan_rows(_symbol_matrix(code.strings(), code.n), 0, m - 2)
     else:
         # the pool's modules cost every CLI start ~15 ms, so import on use
         from concurrent.futures import ProcessPoolExecutor
 
+        # the workers build their own symbol matrices, so that this process
+        # never loads numpy, whose idle BLAS threads would spin on their cores
+        joined, length = itertools.repeat("".join(code.strings())), itertools.repeat(code.n)
         with ProcessPoolExecutor(
-            max_workers=len(plan), initializer=_pin_blas_threads
+            max_workers=len(plan), initializer=_start_scan_worker
         ) as pool:
             lo, hi = zip(*plan)
-            found = [w for w in pool.map(_scan_rows, [U] * len(plan), lo, hi) if w]
+            found = [w for w in pool.map(_scan_words, joined, length, lo, hi) if w]
         witness = min(found) if found else None
     if witness is None:
         return VerificationResult(TRIFFERENT, None)

@@ -7,7 +7,7 @@ big-int bitsets, and so are the pair masks that shrink them: each is an OR of
 per-coordinate symbol planes, so no search loads numpy.  The support bound
 counts the pool's words per exact 2-location set by popcount, where the
 pool's size alone does not prune.  Every triple of the best code is checked
-with core.is_trifferent_triple before it is certified.  The oracle re-solves
+by core.verify_trifferent before it is certified.  The oracle re-solves
 small instances as a plain maximum independent set in the bad-triple
 hypergraph and shares no code path with the engine.
 """
@@ -28,6 +28,7 @@ from .core import (
     count_A_r,
     format_triff,
     is_trifferent_triple,
+    verify_trifferent,
 )
 
 __all__ = [
@@ -329,9 +330,10 @@ def _certificate(
     Every triple of code is checked first, so no certificate carries a code
     that failed the triple check, whatever the pair masks said.
     """
-    for x, y, z in itertools.combinations(code.codewords, 3):
-        if not is_trifferent_triple(x, y, z):
-            raise NotTrifferentError(f"search result is not trifferent: {x}, {y}, {z}")
+    check = verify_trifferent(code)
+    if not check.ok:
+        x, y, z = (code.codewords[i] for i in check.witness)
+        raise NotTrifferentError(f"search result is not trifferent: {x}, {y}, {z}")
     if oracle_universe is not None:
         oracle_size = oracle_max(enumerate_bad_triples(oracle_universe), cap=oracle_cap)
         if completed and oracle_size != len(code):

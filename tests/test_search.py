@@ -106,7 +106,8 @@ def test_certificate_rejects_a_code_that_fails_the_triple_check(monkeypatch):
         return [[((1 << m) - 1) & ~(1 << i | 1 << j) for j in range(m)] for i in range(m)]
 
     monkeypatch.setattr("trifference.search._pair_compat_masks", every_pair_compatible)
-    with pytest.raises(NotTrifferentError, match="not trifferent"):
+    # the error names the lex-smallest violating triple
+    with pytest.raises(NotTrifferentError, match="not trifferent: 00, 01, 10$"):
         max_trifferent(2)
 
 

@@ -6,6 +6,7 @@ since imported numpy and every layer.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import trifference
-from trifference.constructions import one_bounded
-from trifference.core import write_triff
+from trifference.constructions import one_bounded, triple_construction
+from trifference.core import Code, _scan_plan, write_triff
 
 SRC = str(Path(trifference.__file__).resolve().parents[1])
 WATCHED = (
@@ -123,10 +124,37 @@ def test_search_runs_without_numpy(tmp_path):
 
 
 def test_verify_loads_numpy(tmp_path):
-    write_triff(one_bounded(4), tmp_path / "c.triff")
+    # 150 words: far more triples than core._MAX_PYTHON_TRIPLES
+    write_triff(triple_construction(5, one_bounded(15)), tmp_path / "c.triff")
     out = loaded_after([["verify", "c.triff"]], tmp_path)
     assert out["rcs"] == [0]
     assert "numpy" in out["loaded"]  # numpy itself loads ctypes
+
+
+def test_small_codes_verify_without_numpy(tmp_path):
+    # the triple construction checks its 30- and 36-word base codes
+    write_triff(one_bounded(4), tmp_path / "c.triff")
+    out = loaded_after(
+        [
+            ["verify", "c.triff"],
+            ["construct", "triple", "--q", "5"],
+            ["construct", "recursive", "--t", "2", "--target", "100"],
+        ],
+        tmp_path,
+    )
+    assert out["rcs"] == [0, 0, 0]
+    assert "numpy" not in out["loaded"]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="fans out only on 2 or more CPUs")
+def test_verify_fan_out_parent_loads_no_numpy(tmp_path):
+    # the benchmark's subset size: the scan splits over two processes
+    words = random.Random(0).sample(triple_construction(11, one_bounded(66)).strings(), 500)
+    write_triff(Code.from_strings(words), tmp_path / "c.triff")
+    assert len(_scan_plan(500, 198, 2, 2)) == 2
+    out = loaded_after([["verify", "c.triff", "--workers", "2"]], tmp_path)
+    assert out["rcs"] == [0]
+    assert "numpy" not in out["loaded"]
 
 
 def test_star_import_binds_every_public_name_to_its_module(tmp_path):

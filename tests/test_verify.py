@@ -1,11 +1,12 @@
 """The verifier's triple scan against a brute-force reference, and its work split."""
 
 import itertools
+import math
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trifference import core
@@ -62,9 +63,47 @@ def test_row_scan_matches_brute_force(code, block, cuts):
 @given(small_codes())
 def test_verify_matches_brute_force_for_any_worker_count(code):
     want = brute_witness(code)
-    with mock.patch.object(core, "_MIN_PROCESS_WORK", 1):  # use the pool on small codes
+    with mock.patch.object(core, "_MAX_PYTHON_TRIPLES", 0), mock.patch.object(
+        core, "_MIN_PROCESS_WORK", 1  # use the pool on small codes
+    ):
         for workers in (1, 2, 3):
             assert verify_trifferent(code, workers=workers).witness == want
+
+
+@st.composite
+def codes_around_the_threshold(draw):
+    # 3 to 48 words: C(40, 3) = 9,880 triples lie under core._MAX_PYTHON_TRIPLES,
+    # C(48, 3) = 17,296 above it; a binary prefix leaves few codes trifferent,
+    # a ternary one of length 60 most
+    n = draw(st.integers(4, 70))
+    prefix = draw(st.sampled_from(["01", "012"]))
+    rng = draw(st.randoms(use_true_random=False))
+    size = draw(st.integers(3, 48))
+    words = {
+        "".join(rng.choice(prefix) for _ in range(n - 1)) + rng.choice("012")
+        for _ in range(size)
+    }
+    return Code.from_strings(sorted(words), n=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(codes_around_the_threshold())
+@example(one_bounded(20))  # 9,880 triples, trifferent
+@example(one_bounded(21))  # 11,480 triples, trifferent
+@example(Code.from_strings([*one_bounded(21).strings(), "1" * 21]))  # not trifferent
+def test_triple_by_triple_path_matches_the_scan(code):
+    m = len(code)
+    scan = _scan_rows(_symbol_matrix(code.strings(), code.n), 0, m - 2) if m > 2 else None
+    with mock.patch.object(core, "_MAX_PYTHON_TRIPLES", math.comb(m, 3)):
+        by_triple = verify_trifferent(code)
+    assert by_triple.witness == scan
+    assert by_triple.ok == (scan is None)
+    assert verify_trifferent(code, workers=2) == by_triple  # the real threshold
+    with mock.patch.object(core, "_MAX_PYTHON_TRIPLES", 0), mock.patch.object(
+        core, "_MIN_PROCESS_WORK", 1  # use the pool on small codes
+    ):
+        for workers in (1, 2):
+            assert verify_trifferent(code, workers=workers) == by_triple
 
 
 def test_only_the_last_coordinate_separates():
@@ -127,6 +166,24 @@ class TestScanPlan:
         # the q = 7 triple code with a planted word: ~0.1 s of scanning
         assert _scan_plan(393, 88, 2, 2) == [(0, 391)]
         assert len(_scan_plan(500, 198, 64, 64)) == 4
+
+    @pytest.mark.parametrize("n", [84, 198])
+    def test_plan_matches_the_numpy_plan(self, n):
+        np = pytest.importorskip("numpy")
+
+        def numpy_plan(m, workers, cpus):
+            # the plan as first written, with cumsum and searchsorted
+            rows = m - 2
+            work = np.concatenate(([0], np.cumsum((m - 1 - np.arange(rows)) ** 2)))
+            parts = max(1, min(workers, cpus, rows, int(work[-1]) * n // core._MIN_PROCESS_WORK))
+            cuts = np.searchsorted(work, [work[-1] * t // parts for t in range(1, parts)])
+            bounds = sorted({0, rows, *(int(c) for c in cuts)})
+            return list(zip(bounds, bounds[1:]))
+
+        for m in [*range(3, 1453, 13), 393, 500, 1452]:
+            for workers, cpus in itertools.product(range(1, 5), repeat=2):
+                assert _scan_plan(m, n, workers, cpus) == numpy_plan(m, workers, cpus)
+        assert _scan_plan(500, 198, 2, 2) == [(0, 104), (104, 498)]
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError):
