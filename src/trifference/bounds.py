@@ -145,8 +145,8 @@ def rho_b(n: int, r: int, tb_value: float) -> float:
     """Density of an r-bounded code of size tb_value inside its layer: 2^(r-n) * tb / C(n,r)."""
     if not 0 <= r <= n:
         raise ValueError(f"r must lie in [0, {n}], got {r}")
-    if tb_value <= 0:
-        raise ValueError("tb_value must be positive")
+    if not 0 < tb_value < math.inf:
+        raise ValueError("tb_value must be positive and finite")
     return math.ldexp(tb_value / math.comb(n, r), r - n)
 
 
@@ -163,8 +163,8 @@ def transfer_bound(n: int, r: int, tb_value: float) -> float:
 def transfer_bound_log2(n: int, r: int, tb_value: float) -> float:
     if not 0 <= r <= n:
         raise ValueError(f"r must lie in [0, {n}], got {r}")
-    if tb_value <= 0:
-        raise ValueError("tb_value must be positive")
+    if not 0 < tb_value < math.inf:
+        raise ValueError("tb_value must be positive and finite")
     return (
         math.log2(tb_value) + (r - n) - math.log2(math.comb(n, r)) + n * LOG2_3
     )
@@ -212,8 +212,8 @@ def deficit(n: int, r: int, tb_value: float, tb_kind: str = "exact") -> DeficitE
         raise ValueError("deficit needs n >= 2 (log n must be positive)")
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if tb_value <= 0:
-        raise ValueError("tb_value must be positive")
+    if not 0 < tb_value < math.inf:
+        raise ValueError("tb_value must be positive and finite")
     if tb_kind not in ("exact", "lower", "upper"):
         raise ValueError(f"tb_kind must be exact/lower/upper, got {tb_kind!r}")
     delta = r - math.log(tb_value) / math.log(n)
@@ -265,40 +265,11 @@ class BoundReport(NamedTuple):
         return {
             "schema": 1,
             "n": self.n,
-            "entries": [
-                {
-                    "name": e.name,
-                    "value": e.value,
-                    "log2_value": e.log2_value,
-                    "valid": e.valid,
-                    "provenance": e.provenance,
-                }
-                for e in self.entries
-            ],
+            "entries": [e._asdict() for e in self.entries],
             "best": self.best,
             "crossover_N0": self.crossover,
             "rates": [{"label": label, "rate": value} for label, value in self.rates],
         }
-
-
-def _linear_value(log2_value: float) -> float | None:
-    # doubles top out just above 2^1023
-    if log2_value >= 1023.0:
-        return None
-    return 2.0**log2_value
-
-
-def _transfer_value(n: int, r: int, tb: float, log2_value: float) -> float | None:
-    """transfer_bound(n, r, tb) as a float, None where a double overflows.
-
-    Past length 512 the value is read off its log2 form instead.
-    """
-    if n > 512:
-        return _linear_value(log2_value)
-    try:
-        return transfer_bound(n, r, tb)
-    except OverflowError:
-        return None
 
 
 def bound_report(n: int, exact_tb: dict | None = None, codes=None) -> BoundReport:
@@ -312,85 +283,71 @@ def bound_report(n: int, exact_tb: dict | None = None, codes=None) -> BoundRepor
         raise ValueError("n must be positive")
     entries = []
 
-    def linear(fn) -> float | None:
-        try:
-            return fn()
-        except OverflowError:
-            return None
+    # every entry comes from here: valid when it has a log2 value, its value
+    # linear() or else the log2 form read below 2^1023, and None where the
+    # value overflows a double, by raising or by coming out infinite
+    def add(name, log2_value, provenance, linear=None):
+        value = None
+        if log2_value is not None and (linear or log2_value < 1023):
+            try:
+                value = linear() if linear else 2.0**log2_value
+            except OverflowError:
+                pass
+        value = None if value == math.inf else value
+        entries.append(BoundEntry(name, value, log2_value, log2_value is not None, provenance))
 
-    entries.append(
-        BoundEntry(
-            name="elias",
-            value=linear(lambda: elias_bound(n)),
-            log2_value=elias_bound_log2(n),
-            valid=True,
-            provenance="pruning bound 2*(3/2)^n (Elias 1988), all n",
-        )
+    add(
+        "elias",
+        elias_bound_log2(n),
+        "pruning bound 2*(3/2)^n (Elias 1988), all n",
+        lambda: elias_bound(n),
     )
-    kurz_log2 = kurz_bound_log2(n)
-    entries.append(
-        BoundEntry(
-            name="kurz",
-            value=None if kurz_log2 is None else linear(lambda: kurz_bound(n)),
-            log2_value=kurz_log2,
-            valid=kurz_log2 is not None,
-            provenance="computer-assisted constant 0.6937*(3/2)^n (Kurz 2024), n >= 10",
-        )
+    add(
+        "kurz",
+        kurz_bound_log2(n),
+        "computer-assisted constant 0.6937*(3/2)^n (Kurz 2024), n >= 10",
+        lambda: kurz_bound(n),
     )
-    for r, label in ((2, "kst-r2-transfer"), (3, "kst-r3-transfer")):
-        if n < r:
-            entries.append(
-                BoundEntry(
-                    name=label,
-                    value=None,
-                    log2_value=None,
-                    valid=False,
-                    provenance=f"r={r} layer is empty below n={r}",
-                )
-            )
-            continue
+    sources = []
+    for r in (2, 3):
         tb, branch = tb_upper_detail(n, r)
-        log2_value = transfer_bound_log2(n, r, tb)
-        entries.append(
-            BoundEntry(
-                name=label,
-                value=_transfer_value(n, r, tb, log2_value),
-                log2_value=log2_value,
-                valid=True,
-                provenance=(
-                    f"shift transfer from the r={r} layer bound ({branch} branch, "
-                    "Kovari-Sos-Turan edge count)"
-                ),
-            )
+        provenance = (
+            f"shift transfer from the r={r} layer bound ({branch} branch, "
+            "Kovari-Sos-Turan edge count)"
         )
-    for (tn, r), size in sorted(
-        (exact_tb or {}).items(),
-        key=lambda kv: (kv[0][0], -1 if kv[0][1] is None else kv[0][1]),
-    ):
-        if tn != n or r is None or r > n:
-            continue
-        log2_value = transfer_bound_log2(n, r, size)
-        entries.append(
-            BoundEntry(
-                name=f"exact-r{r}-transfer",
-                value=_transfer_value(n, r, size, log2_value),
-                log2_value=log2_value,
-                valid=True,
-                provenance=f"shift transfer from the exactly searched r={r} layer maximum {size}",
-            )
+        if n < r:
+            provenance = f"r={r} layer is empty below n={r}"
+        sources.append((f"kst-r{r}-transfer", r, tb, provenance))
+    exact = sorted(
+        (r, size)
+        for (tn, r), size in (exact_tb or {}).items()
+        if tn == n and r is not None and r <= n
+    )
+    sources += [
+        (
+            f"exact-r{r}-transfer",
+            r,
+            size,
+            f"shift transfer from the exactly searched r={r} layer maximum {size}",
         )
-    applicable = [e for e in entries if e.valid]
+        for r, size in exact
+    ]
+    for label, r, tb, provenance in sources:
+        # past length 512 the value is read off its log2 form
+        add(
+            label,
+            transfer_bound_log2(n, r, tb) if r <= n else None,
+            provenance,
+            (lambda: transfer_bound(n, r, tb)) if n <= 512 else None,
+        )
     best = min(
-        applicable,
+        (e for e in entries if e.valid),
         key=lambda e: (e.log2_value, 0 if e.name.startswith("exact") else 1, e.name),
     )
-    rates = []
-    for label, code in (codes or {}).items():
-        rates.append((label, rate(code)))
     return BoundReport(
         n=n,
         entries=tuple(entries),
         best=best.name,
         crossover=crossover_n0(),
-        rates=tuple(rates),
+        rates=tuple((label, rate(code)) for label, code in (codes or {}).items()),
     )

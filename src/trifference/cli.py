@@ -49,7 +49,7 @@ def _render(body, args) -> str:
     """
     if isinstance(body, dict):
         payload = {"schema": SCHEMA, **body, "config": _config(args)}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     config_line = "# config: " + json.dumps(_config(args), sort_keys=True)
     if isinstance(body, core.Code):
         return core.format_triff(
@@ -150,6 +150,8 @@ def _cmd_bound(args):
         try:
             value = bounds.transfer_bound(args.n, args.r, args.tb)
         except OverflowError:
+            value = None
+        if value == math.inf:
             value = None
         log2_value = bounds.transfer_bound_log2(args.n, args.r, args.tb)
         return {"value": value, "log2_value": log2_value}, 0
@@ -287,12 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_subparsers(dest="mode", required=True)
     m_max = leaf(mode, "max", _cmd_search)
     m_max.add_argument("--n", type=int, required=True)
-    m_max.add_argument("--budget", type=int, default=None)
+    m_max.add_argument("--budget", type=_positive_int, default=None)
     m_max.add_argument("--cap", type=int, default=None)
     m_r = leaf(mode, "max-r", _cmd_search)
     m_r.add_argument("--n", type=int, required=True)
     m_r.add_argument("--r", type=int, required=True)
-    m_r.add_argument("--budget", type=int, default=None)
+    m_r.add_argument("--budget", type=_positive_int, default=None)
     m_r.add_argument("--universe-cap", type=int, default=None)
     for m in (m_max, m_r):
         m.add_argument("--no-symmetry", action="store_true")
@@ -381,7 +383,7 @@ def run(argv=None) -> int:
     except core.OracleDisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -373,6 +373,8 @@ def max_trifferent(
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be a positive node count, got {budget}")
     if n > cap:
         raise ValueError(
             f"n={n} exceeds the search cap {cap}; pass a larger cap explicitly"
@@ -415,6 +417,8 @@ def max_r_bounded(
         raise ValueError("n must be positive")
     if not 0 <= r <= n:
         raise ValueError(f"r must lie in [0, {n}], got {r}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be a positive node count, got {budget}")
     universe_size = count_A_r(n, r)
     config = {
         "kind": "max-r",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -167,6 +168,14 @@ class TestDensityAndTransfer:
         with pytest.raises(ValueError):
             rho_b(3, 1, 0)
 
+    @pytest.mark.parametrize("tb", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_layer_bound_that_is_not_finite(self, tb):
+        for fn in (rho_b, transfer_bound, transfer_bound_log2):
+            with pytest.raises(ValueError, match="positive and finite"):
+                fn(5, 1, tb)
+        with pytest.raises(ValueError, match="positive and finite"):
+            deficit(5, 2, tb)
+
 
 class TestDeficit:
     def test_formula(self):
@@ -278,3 +287,58 @@ class TestReport:
         entries = {e.name: e for e in report.entries}
         assert entries["kst-r3-transfer"].valid is False
         assert entries["kst-r2-transfer"].valid is True
+
+
+# sha256 prefixes of json.dumps(report.to_json(), sort_keys=True) + "\n" +
+# repr(report), without a table and with REPORT_TABLE, as the hand-built
+# entries of the previous bound_report printed them; at n = 1749 and 1750
+# that code printed elias's 2*(3/2)^n as Infinity, and these pin the same
+# reports with that value null
+REPORT_DIGESTS = {
+    1: ("fe72fa2ab9355d35", "2f039c8277e33de8"),
+    2: ("cf08556e20a10b95", "bcad012a59a09214"),
+    3: ("52bce92ec51172f0", "e88147d666cff947"),
+    4: ("614595ab9923fbba", "c1ad845fedee3e91"),
+    5: ("0507ed5544449ef8", "2adcdc1e706b140e"),
+    6: ("e62f5cadc9ccf33c", "b666801cfed2c4a7"),
+    10: ("310b30f6289fa606", "bf2e30175862a2ca"),
+    12: ("ccd36fd284151595", "a6d2a750cb705882"),
+    512: ("17d5aa126907641c", "a982eace4530134f"),
+    513: ("8586120ed7d9351b", "3c32c18f8a7a3126"),
+    646: ("610e1c7b19997d9a", "19d016e395e44049"),
+    647: ("ae6ae96e94ac98f2", "f7782bed413a589d"),
+    1000: ("5f4b030de3117234", "5b305c3d03bc1669"),
+    1747: ("fca7bd8368dbfe22", "64dce5a4df5e2260"),
+    1748: ("140a608c833df7df", "cdd5ce6445a23dea"),
+    1749: ("877ca0e530965d25", "033132126579b4ee"),
+    1750: ("d8d9a73e736c093c", "9fd1b0990e90bfab"),
+    1751: ("2aa8fca46b716266", "aaa1801544221f80"),
+    10**6: ("8f0cf8cad84291b9", "5cc6587f21e6c69e"),
+    10**7: ("ca883c0053e8eaca", "00e7d331feacabf7"),
+    10**9: ("b99d44c779e7fd6f", "eb209de9a0e86ef3"),
+    10**12: ("b7c921eb1cf8720d", "30d273b83c108d29"),
+}
+
+
+def report_table(n):
+    """Exact entries for every layer r <= 3 (those above n are skipped) and for T(n)."""
+    return {(n, 0): 2, (n, 1): 2 * n, (n, 2): n * n, (n, 3): n**3, (n, None): 3 * n}
+
+
+@pytest.mark.parametrize("n", sorted(REPORT_DIGESTS))
+def test_report_output_is_pinned(n):
+    for table, digest in zip((None, report_table(n)), REPORT_DIGESTS[n]):
+        report = bound_report(n, table)
+        text = json.dumps(report.to_json(), sort_keys=True, allow_nan=False)
+        text += "\n" + repr(report)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("n", [1749, 1750])
+def test_report_value_that_overflows_to_infinity_is_null(n):
+    # 1.5**n still fits a double here, but 2 * 1.5**n comes out infinite
+    assert math.isfinite(1.5**n) and math.isinf(2.0 * 1.5**n)
+    elias = bound_report(n).entries[0]
+    assert elias.name == "elias"
+    assert elias.value is None
+    assert elias.log2_value == elias_bound_log2(n)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -36,6 +37,22 @@ class TestConstructAndVerify:
         assert blob["status"] == "not_trifferent"
         assert blob["witness"] == [0, 1, 2]
         assert blob["schema"] == 1
+
+    def test_witness_indexes_the_sorted_words(self, tmp_path, capsys):
+        # a .triff file may list its words in any order; they are stored
+        # sorted, and witness indices refer to that order
+        path = tmp_path / "unsorted.triff"
+        path.write_text("n=2\n22\n10\n01\n00\n")
+        assert [w.string for w in read_triff(path)] == ["00", "01", "10", "22"]
+        assert run(["verify", "--json", str(path)]) == 1
+        assert out_json(capsys)["witness"] == [0, 1, 2]
+        assert run(["verify", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "witness: indices (0, 1, 2)",
+            "  00",
+            "  01",
+            "  10",
+        ]
 
     def test_malformed_file_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.triff"
@@ -176,6 +193,13 @@ class TestBound:
         assert run(["bound", "transfer", "--n", "4", "--r", "0", "--tb", "2"]) == 0
         assert out_json(capsys)["value"] == 10.125
 
+    def test_transfer_value_that_comes_out_infinite_is_null(self, capsys):
+        # 3^600 and the density both fit a double, their product does not
+        assert run(["bound", "transfer", "--n", "600", "--r", "1", "--tb", "1e300"]) == 0
+        blob = out_json(capsys)
+        assert blob["value"] is None
+        assert blob["log2_value"] == pytest.approx(1339.327, abs=1e-3)
+
     def test_deficit(self, capsys):
         assert run(["bound", "deficit", "--r", "3"]) == 0
         assert out_json(capsys)["delta_upper"] == pytest.approx(1.5)
@@ -281,6 +305,63 @@ class TestUsage:
 
     def test_missing_required_option(self, capsys):
         assert run(["construct", "one-bounded"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "report", "--n", str(10**400)],
+            ["bound", "zarankiewicz", "--u", "9", "--v", str(10**400), "--s", "3", "--t", "9"],
+        ],
+        ids=["report", "zarankiewicz"],
+    )
+    def test_integer_too_big_for_a_float_is_a_usage_error(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "transfer", "--n", "5", "--r", "1", "--tb", "nan"],
+            ["bound", "transfer", "--n", "5", "--r", "1", "--tb", "inf"],
+            ["bound", "deficit", "--r", "2", "--n", "5", "--tb", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_layer_bound_that_is_not_finite_is_a_usage_error(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tb_value must be positive and finite\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_output_that_is_not_finite_is_a_usage_error(self, monkeypatch, capsys, value):
+        # JSON has no token for these, so the body is refused before any write
+        from trifference import bounds
+
+        monkeypatch.setattr(bounds, "deficit_upper", lambda r: value)
+        assert run(["bound", "deficit", "--r", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Out of range float values")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "max", "--n", "3", "--budget", "0"],
+            ["search", "max", "--n", "3", "--budget", "-5"],
+            ["search", "max-r", "--n", "4", "--r", "2", "--budget", "0"],
+            ["search", "max-r", "--n", "4", "--r", "0", "--budget", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_budget_below_one_is_a_usage_error(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget: must be a positive integer" in captured.err
 
     def test_output_goes_to_file(self, tmp_path):
         target = tmp_path / "report.json"

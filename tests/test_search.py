@@ -171,6 +171,11 @@ class TestMaxTrifferent:
         assert cert.best_size <= 6
         assert verify_trifferent(cert.best_code).ok
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be a positive node count"):
+            max_trifferent(3, budget=budget)
+
     def test_cap_guard(self):
         with pytest.raises(ValueError):
             max_trifferent(5)
@@ -221,6 +226,13 @@ class TestMaxRBounded:
     def test_universe_cap_guard(self):
         with pytest.raises(ValueError):
             max_r_bounded(10, 2, universe_cap=100)
+
+    @pytest.mark.parametrize("r", [0, 2, 4])
+    def test_budget_below_one_rejected(self, r):
+        # r = 0 and r = n answer without a search, and still check the budget
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match="budget must be a positive node count"):
+                max_r_bounded(4, r, budget=budget)
 
     def test_certificate_json_shape(self):
         blob = certificate_to_json(max_r_bounded(3, 2))
