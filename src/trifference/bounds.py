@@ -272,6 +272,15 @@ class BoundReport(NamedTuple):
         }
 
 
+def _double_or_none(compute) -> float | None:
+    """compute(), or None where it overflows a double: it raises or comes out infinite."""
+    try:
+        value = compute()
+    except OverflowError:
+        return None
+    return None if value == math.inf else value
+
+
 def bound_report(n: int, exact_tb: dict | None = None, codes=None) -> BoundReport:
     """Assemble every bound we can defend at length n and pick the smallest.
 
@@ -284,16 +293,11 @@ def bound_report(n: int, exact_tb: dict | None = None, codes=None) -> BoundRepor
     entries = []
 
     # every entry comes from here: valid when it has a log2 value, its value
-    # linear() or else the log2 form read below 2^1023, and None where the
-    # value overflows a double, by raising or by coming out infinite
+    # linear() or else the log2 form read below 2^1023, null on overflow
     def add(name, log2_value, provenance, linear=None):
         value = None
         if log2_value is not None and (linear or log2_value < 1023):
-            try:
-                value = linear() if linear else 2.0**log2_value
-            except OverflowError:
-                pass
-        value = None if value == math.inf else value
+            value = _double_or_none(linear or (lambda: 2.0**log2_value))
         entries.append(BoundEntry(name, value, log2_value, log2_value is not None, provenance))
 
     add(

@@ -107,26 +107,19 @@ def _cmd_search(args):
         if getattr(args, name, default) is None:
             setattr(args, name, default)
     if args.mode == "max":
-        cert = search.max_trifferent(
-            args.n,
-            budget=args.budget,
-            cap=args.cap,
-            symmetry=not args.no_symmetry,
-            bound=args.bound or "size",
-            oracle_check=args.oracle,
-            oracle_cap=args.oracle_cap,
-        )
+        solve, own = search.max_trifferent, {"cap": args.cap}
     else:
-        cert = search.max_r_bounded(
-            args.n,
-            args.r,
-            budget=args.budget,
-            universe_cap=args.universe_cap,
-            symmetry=not args.no_symmetry,
-            bound=args.bound or "support",
-            oracle_check=args.oracle,
-            oracle_cap=args.oracle_cap,
-        )
+        solve, own = search.max_r_bounded, {"r": args.r, "universe_cap": args.universe_cap}
+    if args.bound:  # unset, each search keeps its own default rule
+        own["bound"] = args.bound
+    cert = solve(
+        args.n,
+        budget=args.budget,
+        symmetry=not args.no_symmetry,
+        oracle_check=args.oracle,
+        oracle_cap=args.oracle_cap,
+        **own,
+    )
     body = search.certificate_to_json(cert)
     if not args.table:
         return body, 0
@@ -147,12 +140,7 @@ def _cmd_bound(args):
             "edge_bound": bounds.zarankiewicz_edge_bound(args.u, args.v, args.s, args.t),
         }, 0
     if args.what == "transfer":
-        try:
-            value = bounds.transfer_bound(args.n, args.r, args.tb)
-        except OverflowError:
-            value = None
-        if value == math.inf:
-            value = None
+        value = bounds._double_or_none(lambda: bounds.transfer_bound(args.n, args.r, args.tb))
         log2_value = bounds.transfer_bound_log2(args.n, args.r, args.tb)
         return {"value": value, "log2_value": log2_value}, 0
     if args.what == "deficit":

@@ -6,10 +6,16 @@ optimum is the lexicographically smallest one.  Candidate pools are Python
 big-int bitsets, and so are the pair masks that shrink them: each is an OR of
 per-coordinate symbol planes, so no search loads numpy.  The support bound
 counts the pool's words per exact 2-location set by popcount, where the
-pool's size alone does not prune.  Every triple of the best code is checked
-by core.verify_trifferent before it is certified.  The oracle re-solves
-small instances as a plain maximum independent set in the bad-triple
-hypergraph and shares no code path with the engine.
+pool's size alone does not prune.  The oracle re-solves small instances as a
+plain maximum independent set in the bad-triple hypergraph and shares no
+code path with the engine.
+
+max_trifferent and max_r_bounded check only their own arguments, then both
+reach the certificate through _solve, in this order: the budget and bound
+rule, the config that is hashed, the oracle cap, one universe build that the
+oracle reuses, the engine (skipped for the layers r = 0 and r = n, whose
+answer is known), core.verify_trifferent on every triple of the best code,
+and the certificate.
 """
 
 from __future__ import annotations
@@ -212,10 +218,6 @@ def _branch_and_bound(
 ):
     """Returns (best_size, best_indices, nodes, completed)."""
     m = len(universe)
-    if m == 0:
-        return 0, [], 0, True
-    if bound not in ("size", "support"):
-        raise ValueError(f"unknown bound rule {bound!r}")
     by_support = bound == "support"
     compat = _pair_compat_masks(universe)
     # every exact 2-location set admits at most 2 codewords in total;
@@ -291,51 +293,54 @@ def _branch_and_bound(
     return best_size, best, nodes, not exhausted
 
 
-def _certify(
-    universe: list[Codeword],
-    n: int,
-    r: int | None,
+def _solve(
+    base: dict,
+    size: int,
+    build,
+    budget: int | None,
     symmetry: bool,
     bound: str,
-    budget: int | None,
     oracle_check: bool,
     oracle_cap: int,
-    config: dict,
 ) -> SearchCertificate:
-    best_size, best, nodes, completed = _branch_and_bound(
-        universe, symmetry, bound, budget
-    )
-    return _certificate(
-        Code(n, tuple(universe[i] for i in best)),
-        r,
-        completed=completed,
-        nodes=nodes,
-        oracle_universe=universe if oracle_check else None,
-        oracle_cap=oracle_cap,
-        config=config,
-    )
+    """Certificate of the largest code over the universe that build() returns.
 
-
-def _certificate(
-    code: Code,
-    r: int | None,
-    completed: bool,
-    nodes: int,
-    oracle_universe: list[Codeword] | None,
-    oracle_cap: int,
-    config: dict,
-) -> SearchCertificate:
-    """Certificate for code, cross-checked by the oracle over oracle_universe.
-
-    Every triple of code is checked first, so no certificate carries a code
-    that failed the triple check, whatever the pair masks said.
+    base holds kind, n, and r for a layer; size is the universe's size.
+    build runs only when the tree is searched, and the oracle reuses what it
+    returned.  No certificate carries a code that failed the triple check,
+    whatever the pair masks said.
     """
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be a positive node count, got {budget}")
+    if bound not in ("size", "support"):
+        raise ValueError(f"unknown bound rule {bound!r}")
+    n, r = base["n"], base.get("r")
+    config = {
+        **base,
+        "budget": budget,
+        "symmetry": symmetry,
+        "bound": bound,
+        "oracle": oracle_check,
+        "universe": size,
+    }
+    if oracle_check:
+        _check_oracle_cap(size, oracle_cap)
+    if r in (0, n):
+        # binary words never give a coordinate all three symbols, so any two
+        # distinct words are optimal; r = n leaves only the all-twos word
+        words = ("0" * n, "0" * (n - 1) + "1") if r == 0 else ("2" * n,)
+        code, nodes, completed = Code.from_strings(words, n), 0, True
+        universe = a_r_universe(n, r) if oracle_check else None
+    else:
+        universe = build()
+        _, best, nodes, completed = _branch_and_bound(universe, symmetry, bound, budget)
+        code = Code(n, tuple(universe[i] for i in best))
     check = verify_trifferent(code)
     if not check.ok:
         x, y, z = (code.codewords[i] for i in check.witness)
         raise NotTrifferentError(f"search result is not trifferent: {x}, {y}, {z}")
-    if oracle_universe is not None:
-        oracle_size = oracle_max(enumerate_bad_triples(oracle_universe), cap=oracle_cap)
+    if oracle_check:
+        oracle_size = oracle_max(enumerate_bad_triples(universe), cap=oracle_cap)
         if completed and oracle_size != len(code):
             raise OracleDisagreementError(
                 f"oracle disagrees with search: {oracle_size} vs {len(code)}"
@@ -343,13 +348,13 @@ def _certificate(
         if not completed and len(code) > oracle_size:
             raise OracleDisagreementError("budgeted search exceeded the oracle optimum")
     return SearchCertificate(
-        n=code.n,
+        n=n,
         r=r,
         best_size=len(code),
         best_code=code,
         status=OPTIMAL if completed else LOWER_BOUND,
         nodes_explored=nodes,
-        oracle_checked=oracle_universe is not None,
+        oracle_checked=oracle_check,
         config_hash=_config_hash(config),
     )
 
@@ -373,26 +378,13 @@ def max_trifferent(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be a positive node count, got {budget}")
     if n > cap:
         raise ValueError(
             f"n={n} exceeds the search cap {cap}; pass a larger cap explicitly"
         )
-    if oracle_check:
-        _check_oracle_cap(3**n, oracle_cap)
-    universe = full_universe(n)
-    config = {
-        "kind": "max",
-        "n": n,
-        "budget": budget,
-        "symmetry": symmetry,
-        "bound": bound,
-        "oracle": oracle_check,
-        "universe": len(universe),
-    }
-    return _certify(
-        universe, n, None, symmetry, bound, budget, oracle_check, oracle_cap, config
+    return _solve(
+        {"kind": "max", "n": n}, 3**n, lambda: full_universe(n),
+        budget, symmetry, bound, oracle_check, oracle_cap,
     )
 
 
@@ -413,46 +405,19 @@ def max_r_bounded(
     symmetry pin is the lexicographic minimum of the layer, justified by
     coordinate permutations combined with 0/1 swaps.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0 <= r <= n:
-        raise ValueError(f"r must lie in [0, {n}], got {r}")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be a positive node count, got {budget}")
-    universe_size = count_A_r(n, r)
-    config = {
-        "kind": "max-r",
-        "n": n,
-        "r": r,
-        "budget": budget,
-        "symmetry": symmetry,
-        "bound": bound,
-        "oracle": oracle_check,
-        "universe": universe_size,
-    }
-    if oracle_check:
-        _check_oracle_cap(universe_size, oracle_cap)
-    if r in (0, n):
-        # binary words never give a coordinate all three symbols, so any two
-        # distinct words are optimal; r = n leaves only the all-twos word
-        words = ("0" * n, "0" * (n - 1) + "1") if r == 0 else ("2" * n,)
-        return _certificate(
-            Code.from_strings(words, n),
-            r,
-            completed=True,
-            nodes=0,
-            oracle_universe=a_r_universe(n, r) if oracle_check else None,
-            oracle_cap=oracle_cap,
-            config=config,
-        )
-    if universe_size > universe_cap:
-        raise ValueError(
-            f"universe size {universe_size} exceeds cap {universe_cap}; "
-            "pass a larger universe_cap explicitly"
-        )
-    universe = a_r_universe(n, r)
-    return _certify(
-        universe, n, r, symmetry, bound, budget, oracle_check, oracle_cap, config
+    size = count_A_r(n, r)
+
+    def build() -> list[Codeword]:
+        if size > universe_cap:
+            raise ValueError(
+                f"universe size {size} exceeds cap {universe_cap}; "
+                "pass a larger universe_cap explicitly"
+            )
+        return a_r_universe(n, r)
+
+    return _solve(
+        {"kind": "max-r", "n": n, "r": r}, size, build,
+        budget, symmetry, bound, oracle_check, oracle_cap,
     )
 
 

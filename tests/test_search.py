@@ -325,3 +325,105 @@ class TestResultsTable:
         cert = max_trifferent(3, budget=5)
         record_certificate(table, cert)
         assert table == {}
+
+
+# certificate_to_json of each run, byte for byte: a change to the config
+# hash, the node count or the code shows here
+PINNED_CERTIFICATES = [
+    (
+        lambda: max_trifferent(1), 1, None, 3, "optimal", 3, False, "4f0f13b14c1d5c12",
+        "n=1\n0\n1\n2\n",
+    ),
+    (
+        lambda: max_trifferent(2), 2, None, 4, "optimal", 8, False, "618d32995b702b02",
+        "n=2\n00\n01\n12\n22\n",
+    ),
+    (
+        lambda: max_trifferent(3), 3, None, 6, "optimal", 71, False, "041227839bf7dee9",
+        "n=3\n000\n011\n102\n121\n212\n220\n",
+    ),
+    (
+        lambda: max_trifferent(4), 4, None, 9, "optimal", 3697, False, "1f4a62c6c0fb9fb9",
+        "n=4\n0000\n0111\n0222\n1012\n1120\n1201\n2021\n2102\n2210\n",
+    ),
+    (
+        lambda: max_trifferent(3, symmetry=False), 3, None, 6, "optimal", 421, False,
+        "ae125ab6108b7ecb", "n=3\n000\n011\n102\n121\n212\n220\n",
+    ),
+    (
+        lambda: max_trifferent(3, bound="support"), 3, None, 6, "optimal", 71, False,
+        "8ed1338bfc2728b1", "n=3\n000\n011\n102\n121\n212\n220\n",
+    ),
+    (
+        lambda: max_trifferent(3, oracle_check=True), 3, None, 6, "optimal", 71, True,
+        "2b673b3b9958ad4a", "n=3\n000\n011\n102\n121\n212\n220\n",
+    ),
+    (
+        lambda: max_trifferent(5, cap=5, budget=20_000), 5, None, 10, "lower-bound", 20_001,
+        False, "16e6d53b00405d37",
+        "n=5\n00000\n00001\n01112\n02222\n10122\n11202\n12012\n20212\n21022\n22102\n",
+    ),
+    (
+        lambda: max_r_bounded(4, 0, oracle_check=True), 4, 0, 2, "optimal", 0, True,
+        "15d46b1c3fcf0a43", "n=4\nr=0\n0000\n0001\n",
+    ),
+    (
+        lambda: max_r_bounded(4, 4), 4, 4, 1, "optimal", 0, False, "710610f6562deab8",
+        "n=4\nr=4\n2222\n",
+    ),
+    (
+        lambda: max_r_bounded(5, 2), 5, 2, 10, "optimal", 3118, False, "0c136564fd06aa17",
+        "n=5\nr=2\n00022\n00202\n01122\n02120\n10212\n12121\n20210\n21211\n22011\n22101\n",
+    ),
+    (
+        lambda: max_r_bounded(6, 1), 6, 1, 12, "optimal", 6511, False, "ae183bc27e5ddc2d",
+        "n=6\nr=1\n000002\n000020\n000201\n002010\n020101\n111112\n111121\n111210\n"
+        "112101\n121010\n201010\n210101\n",
+    ),
+    (
+        lambda: max_r_bounded(4, 2, bound="size"), 4, 2, 6, "optimal", 54, False,
+        "16df471934230a06", "n=4\nr=2\n0022\n0122\n0202\n1212\n2210\n2211\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "solve, n, r, size, status, nodes, oracle, config_hash, triff",
+    PINNED_CERTIFICATES,
+    ids=[
+        "max-1", "max-2", "max-3", "max-4", "max-3-no-symmetry", "max-3-support",
+        "max-3-oracle", "max-5-budget", "max-r-4-0-oracle", "max-r-4-4", "max-r-5-2",
+        "max-r-6-1", "max-r-4-2-size",
+    ],
+)
+def test_certificate_json_is_pinned(solve, n, r, size, status, nodes, oracle, config_hash, triff):
+    blob = json.dumps(certificate_to_json(solve()), sort_keys=True)
+    assert blob == json.dumps(
+        {
+            "schema": 1,
+            "n": n,
+            "r": r,
+            "best_size": size,
+            "status": status,
+            "nodes_explored": nodes,
+            "oracle_checked": oracle,
+            "config_hash": config_hash,
+            "best_code_triff": triff,
+        },
+        sort_keys=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: max_trifferent(2, bound="bogus"),
+        lambda: max_r_bounded(4, 2, bound="bogus"),
+        lambda: max_r_bounded(4, 0, bound="bogus"),  # answered without a search
+        lambda: max_r_bounded(4, 4, bound="bogus"),
+    ],
+    ids=["max", "max-r", "max-r-binary", "max-r-all-twos"],
+)
+def test_unknown_bound_rule_rejected_on_every_path(solve):
+    with pytest.raises(ValueError, match="unknown bound rule 'bogus'"):
+        solve()
