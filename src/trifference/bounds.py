@@ -293,10 +293,10 @@ def bound_report(n: int, exact_tb: dict | None = None, codes=None) -> BoundRepor
     entries = []
 
     # every entry comes from here: valid when it has a log2 value, its value
-    # linear() or else the log2 form read below 2^1023, null on overflow
+    # linear() or else read off the log2 form, null on overflow
     def add(name, log2_value, provenance, linear=None):
         value = None
-        if log2_value is not None and (linear or log2_value < 1023):
+        if log2_value is not None:
             value = _double_or_none(linear or (lambda: 2.0**log2_value))
         entries.append(BoundEntry(name, value, log2_value, log2_value is not None, provenance))
 

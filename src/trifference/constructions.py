@@ -69,10 +69,6 @@ class AffineLine(_Frozen):
         d["m"] = m
         d["c"] = c
 
-    def key(self) -> tuple:
-        # slope lines in (m, c) lex order, then verticals by c
-        return (1, 0, self.c) if self.m is None else (0, self.m, self.c)
-
 
 class AffineIncidence(NamedTuple):
     """Points, lines, and point-line flags of the affine plane over F_q (q prime).

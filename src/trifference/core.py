@@ -9,13 +9,12 @@ no larger than the number of terms, which is kept below 2**24 (see _planes).
 numpy is imported inside the kernels that use it, and fractions inside shift
 sampling, so a command that never scans (a bound, prune, project or graph)
 starts without them.  Codes with few triples are verified by mask arithmetic
-alone, and a verification split over worker processes loads numpy only in
-the workers.
+alone, and a verification split over worker processes, which take the rows
+of the scan round-robin, loads numpy only in the workers.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import os
@@ -166,16 +165,19 @@ class Codeword(_Frozen):
     def from_string(cls, s: str) -> "Codeword":
         if not s:
             raise ValueError("codeword string must be nonempty")
-        if set(s) - _VALID_SYMBOLS:
+        if s.strip("012"):  # any other symbol survives the strip
             raise ValueError(f"invalid symbols in codeword {s!r}")
         rev = s[::-1]  # bit i of each mask is coordinate i (leftmost char)
-        word = cls(
+        # the planes of a string over 012 partition its coordinates, so
+        # __init__'s checks are skipped; "string" fills the cached_property below
+        word = cls.__new__(cls)
+        word.__dict__.update(
             n=len(s),
             mask0=int(rev.translate(_PLANE_TABLES[0]), 2),
             mask1=int(rev.translate(_PLANE_TABLES[1]), 2),
             mask2=int(rev.translate(_PLANE_TABLES[2]), 2),
+            string=s,
         )
-        word.__dict__["string"] = s  # fills the cached_property below
         return word
 
     @cached_property
@@ -338,9 +340,9 @@ def _planes(U: np.ndarray, targets) -> np.ndarray:
 
 
 def _scan_rows(
-    U: np.ndarray, i_lo: int, i_hi: int, block: int = 128
+    U: np.ndarray, first: int, step: int, block: int = 128
 ) -> tuple[int, int, int] | None:
-    """Lex-smallest violating triple (i, j, k) with i in [i_lo, i_hi), else None.
+    """Lex-smallest violating triple (i, j, k) with i in range(first, m - 2, step), else None.
 
     For fixed i, let E and F mark where each later word holds U_i + 1 and
     U_i + 2 (mod 3).  Then N = E F^T + F E^T counts, for each pair (j, k),
@@ -353,7 +355,7 @@ def _scan_rows(
     import numpy as np
 
     m = U.shape[0]
-    for i in range(i_lo, min(i_hi, m - 2)):
+    for i in range(first, m - 2, step):
         later = U[i + 1 :]
         up1, up2 = (U[i] + 1) % 3, (U[i] + 2) % 3
         ef, fe = _planes(later, (up1, up2)), _planes(later, (up2, up1))
@@ -381,19 +383,17 @@ _MIN_PROCESS_WORK = 2 * 10**9
 _MAX_PYTHON_TRIPLES = 10**4
 
 
-def _scan_plan(m: int, n: int, workers: int, cpus: int) -> list[tuple[int, int]]:
-    """Split the rows i in [0, m - 2) into one range per worker process.
+def _scan_parts(m: int, n: int, workers: int, cpus: int) -> int:
+    """How many processes share the scan of the rows i in [0, m - 2).
 
-    The ranges hold equal shares of the scan's work, which for row i grows
-    as (m - 1 - i)^2 * n.  There are at most min(workers, cpus, m - 2) of
-    them, and one unless each gets _MIN_PROCESS_WORK.
+    Part p scans rows p, p + parts, p + 2 parts, ...  Row i costs
+    (m - 1 - i)^2 * n, so this round-robin deal gives every part the mean
+    share to within the first row's cost; the total is
+    ((m - 1) m (2m - 1) / 6 - 1) * n.  There are at most
+    min(workers, cpus, m - 2) parts, and one unless each gets _MIN_PROCESS_WORK.
     """
-    rows = m - 2
-    work = list(itertools.accumulate(((m - 1 - i) ** 2 for i in range(rows)), initial=0))
-    parts = max(1, min(workers, cpus, rows, work[-1] * n // _MIN_PROCESS_WORK))
-    cuts = [bisect.bisect_left(work, work[-1] * t // parts) for t in range(1, parts)]
-    bounds = sorted({0, rows, *cuts})
-    return list(zip(bounds, bounds[1:]))
+    work = (m - 1) * m * (2 * m - 1) // 6 - 1
+    return max(1, min(workers, cpus, m - 2, work * n // _MIN_PROCESS_WORK))
 
 
 def _pin_blas_threads() -> None:
@@ -434,9 +434,9 @@ def _start_scan_worker() -> None:
         _pin_blas_threads()
 
 
-def _scan_words(words: str, n: int, i_lo: int, i_hi: int) -> tuple[int, int, int] | None:
+def _scan_words(words: str, n: int, first: int, step: int) -> tuple[int, int, int] | None:
     """_scan_rows over the words joined in one string, each n long."""
-    return _scan_rows(_symbol_matrix([words], n), i_lo, i_hi)
+    return _scan_rows(_symbol_matrix([words], n), first, step)
 
 
 def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
@@ -444,11 +444,12 @@ def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
 
     A code with at most _MAX_PYTHON_TRIPLES triples is checked triple by
     triple.  Larger ones are scanned with one matrix product per word (see
-    _scan_rows), so memory stays O(m*n + m^2) for m words of length n.  The
-    witness, when present, is the lexicographically smallest violating index
-    triple into the sorted codeword list regardless of the path or the worker
-    count.  With workers > 1 the rows are split by work (_scan_plan) over at
-    most min(workers, cpu count) processes; small scans stay in this process.
+    _scan_rows), so memory stays O(m*n + m^2) for m words of length n.  With
+    workers > 1 the rows are dealt round-robin to at most min(workers, cpu
+    count) processes (_scan_parts); small scans stay in this process.  Each
+    path yields the first witness of each part, and the smallest of them is
+    the lexicographically smallest violating index triple into the sorted
+    codeword list, whatever the path or the worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -456,30 +457,25 @@ def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
     if math.comb(m, 3) <= _MAX_PYTHON_TRIPLES:
         # a Code's words share one length and are distinct, so the per-triple
         # argument checks are skipped
-        words = code.codewords
-        for i, j, k in itertools.combinations(range(m), 3):
-            if not _separated(words[i], words[j], words[k]):
-                return VerificationResult(NOT_TRIFFERENT, (i, j, k))
-        return VerificationResult(TRIFFERENT, None)
-    plan = _scan_plan(m, code.n, workers, os.cpu_count() or 1)
-    if len(plan) == 1:
-        witness = _scan_rows(_symbol_matrix(code.strings(), code.n), 0, m - 2)
+        w = code.codewords
+        triples = itertools.combinations(range(m), 3)
+        found = [next((t for t in triples if not _separated(w[t[0]], w[t[1]], w[t[2]])), None)]
     else:
-        # the pool's modules cost every CLI start ~15 ms, so import on use
-        from concurrent.futures import ProcessPoolExecutor
+        joined = "".join(code.strings())
+        parts = _scan_parts(m, code.n, workers, os.cpu_count() or 1)
+        if parts == 1:
+            found = [_scan_words(joined, code.n, 0, 1)]
+        else:
+            # the pool's modules cost every CLI start ~15 ms, so import on use
+            from concurrent.futures import ProcessPoolExecutor
 
-        # the workers build their own symbol matrices, so that this process
-        # never loads numpy, whose idle BLAS threads would spin on their cores
-        joined, length = itertools.repeat("".join(code.strings())), itertools.repeat(code.n)
-        with ProcessPoolExecutor(
-            max_workers=len(plan), initializer=_start_scan_worker
-        ) as pool:
-            lo, hi = zip(*plan)
-            found = [w for w in pool.map(_scan_words, joined, length, lo, hi) if w]
-        witness = min(found) if found else None
-    if witness is None:
-        return VerificationResult(TRIFFERENT, None)
-    return VerificationResult(NOT_TRIFFERENT, witness)
+            # the workers build their own symbol matrices, so that this process
+            # never loads numpy, whose idle BLAS threads would spin on their cores
+            with ProcessPoolExecutor(max_workers=parts, initializer=_start_scan_worker) as pool:
+                scans = [pool.submit(_scan_words, joined, code.n, p, parts) for p in range(parts)]
+                found = [scan.result() for scan in scans]
+    witness = min((t for t in found if t is not None), default=None)
+    return VerificationResult(TRIFFERENT if witness is None else NOT_TRIFFERENT, witness)
 
 
 def count_A_r(n: int, r: int) -> int:

@@ -293,7 +293,8 @@ class TestReport:
 # repr(report), without a table and with REPORT_TABLE, as the hand-built
 # entries of the previous bound_report printed them; at n = 1749 and 1750
 # that code printed elias's 2*(3/2)^n as Infinity, and these pin the same
-# reports with that value null
+# reports with that value null.  At n = 1747-1749 a value read off a log2
+# form in [1023, 1024) was null too, and these pin it as the number it is.
 REPORT_DIGESTS = {
     1: ("fe72fa2ab9355d35", "2f039c8277e33de8"),
     2: ("cf08556e20a10b95", "bcad012a59a09214"),
@@ -308,9 +309,9 @@ REPORT_DIGESTS = {
     646: ("610e1c7b19997d9a", "19d016e395e44049"),
     647: ("ae6ae96e94ac98f2", "f7782bed413a589d"),
     1000: ("5f4b030de3117234", "5b305c3d03bc1669"),
-    1747: ("fca7bd8368dbfe22", "64dce5a4df5e2260"),
-    1748: ("140a608c833df7df", "cdd5ce6445a23dea"),
-    1749: ("877ca0e530965d25", "033132126579b4ee"),
+    1747: ("fca7bd8368dbfe22", "ba1201e78931c414"),
+    1748: ("3ca3239c8bb94922", "7ca1fa0aa66475d5"),
+    1749: ("abad4d44a24e67a7", "0b9e24c74bb6b4df"),
     1750: ("d8d9a73e736c093c", "9fd1b0990e90bfab"),
     1751: ("2aa8fca46b716266", "aaa1801544221f80"),
     10**6: ("8f0cf8cad84291b9", "5cc6587f21e6c69e"),
@@ -342,3 +343,13 @@ def test_report_value_that_overflows_to_infinity_is_null(n):
     assert elias.name == "elias"
     assert elias.value is None
     assert elias.log2_value == elias_bound_log2(n)
+
+
+def test_report_reads_values_up_to_the_largest_double_off_log2():
+    # past length 512 a transfer's value is 2**log2; at n = 1748 that log2
+    # lies in [1023, 1024), so the value still fits a double
+    entries = {e.name: e for e in bound_report(1748).entries}
+    transfer = entries["kst-r2-transfer"]
+    assert 1023 < transfer.log2_value < 1024
+    assert transfer.value == 2.0**transfer.log2_value
+    assert entries["kst-r3-transfer"].value is None  # log2 above 1024

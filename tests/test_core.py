@@ -176,30 +176,26 @@ class TestTripleCheck:
                 assert is_trifferent_triple(x, y, z) == naive_trifferent_triple(x, y, z)
 
     def test_agreement_sweep_all_lengths(self):
-        # 10^4 triples at every length up to 64; digits drawn in bulk
+        # 10^4 triples at every length up to 64; digits drawn, and triples
+        # with a repeated word dropped, in bulk
         trials = 10**4
         gen = np.random.default_rng(2214)
         for n in range(1, 65):
             if 3**n <= 27:
                 rng = random.Random(n)
-                words = [np.base_repr(x, 3).zfill(n) for x in range(3**n)]
-                triples = [tuple(rng.sample(words, 3)) for _ in range(trials)]
+                words = [cw(np.base_repr(x, 3).zfill(n)) for x in range(3**n)]
+                triples = [rng.sample(words, 3) for _ in range(trials)]
+                kept = trials
             else:
                 digits = gen.integers(0, 3, size=(trials, 3, n), dtype=np.uint8)
+                x, y, z = digits[:, 0], digits[:, 1], digits[:, 2]
+                digits = digits[(x != y).any(1) & (y != z).any(1) & (x != z).any(1)]
+                kept = len(digits)
                 flat = (digits + ord("0")).tobytes().decode("ascii")
-                triples = []
-                for t in range(trials):
-                    base = 3 * n * t
-                    s = (
-                        flat[base : base + n],
-                        flat[base + n : base + 2 * n],
-                        flat[base + 2 * n : base + 3 * n],
-                    )
-                    if len(set(s)) == 3:
-                        triples.append(s)
-            assert len(triples) >= trials // 2
-            for sa, sb, sc in triples:
-                x, y, z = cw(sa), cw(sb), cw(sc)
+                words = map(cw, (flat[i : i + n] for i in range(0, len(flat), n)))
+                triples = zip(words, words, words)
+            assert kept >= trials // 2
+            for x, y, z in triples:
                 assert is_trifferent_triple(x, y, z) == naive_trifferent_triple(x, y, z)
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import trifference
 from trifference.constructions import one_bounded, triple_construction
-from trifference.core import Code, _scan_plan, write_triff
+from trifference.core import Code, _scan_parts, write_triff
 
 SRC = str(Path(trifference.__file__).resolve().parents[1])
 WATCHED = (
@@ -151,7 +151,7 @@ def test_verify_fan_out_parent_loads_no_numpy(tmp_path):
     # the benchmark's subset size: the scan splits over two processes
     words = random.Random(0).sample(triple_construction(11, one_bounded(66)).strings(), 500)
     write_triff(Code.from_strings(words), tmp_path / "c.triff")
-    assert len(_scan_plan(500, 198, 2, 2)) == 2
+    assert _scan_parts(500, 198, 2, 2) == 2
     out = loaded_after([["verify", "c.triff", "--workers", "2"]], tmp_path)
     assert out["rcs"] == [0]
     assert "numpy" not in out["loaded"]

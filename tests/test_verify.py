@@ -1,4 +1,4 @@
-"""The verifier's triple scan against a brute-force reference, and its work split."""
+"""The verifier's triple scan against a brute-force reference, and its round-robin split."""
 
 import itertools
 import math
@@ -14,7 +14,7 @@ from trifference.cli import run
 from trifference.constructions import one_bounded, triple_construction
 from trifference.core import (
     Code,
-    _scan_plan,
+    _scan_parts,
     _scan_rows,
     _symbol_matrix,
     naive_trifferent_triple,
@@ -47,16 +47,17 @@ def small_codes(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_codes(), st.integers(1, 4), st.lists(st.integers(0, 20), max_size=3))
-def test_row_scan_matches_brute_force(code, block, cuts):
-    # any split of the rows into ranges, as workers get them, gives one witness
+@given(small_codes(), st.integers(1, 4), st.integers(1, 4))
+def test_row_scan_matches_brute_force(code, block, step):
+    # rows dealt round-robin over any number of parts, as workers get them,
+    # give one witness
     m = len(code)
     if m <= 2:
         return
     U = _symbol_matrix(code.strings(), code.n)
-    bounds = sorted({0, m - 2, *(c % (m - 2) for c in cuts)})
-    found = [w for lo, hi in zip(bounds, bounds[1:]) if (w := _scan_rows(U, lo, hi, block))]
-    assert (min(found) if found else None) == brute_witness(code)
+    found = {first: _scan_rows(U, first, step, block) for first in range(step)}
+    assert all(w[0] % step == first for first, w in found.items() if w)
+    assert min(filter(None, found.values()), default=None) == brute_witness(code)
 
 
 @settings(max_examples=20, deadline=None)
@@ -93,7 +94,7 @@ def codes_around_the_threshold(draw):
 @example(Code.from_strings([*one_bounded(21).strings(), "1" * 21]))  # not trifferent
 def test_triple_by_triple_path_matches_the_scan(code):
     m = len(code)
-    scan = _scan_rows(_symbol_matrix(code.strings(), code.n), 0, m - 2) if m > 2 else None
+    scan = _scan_rows(_symbol_matrix(code.strings(), code.n), 0, 1) if m > 2 else None
     with mock.patch.object(core, "_MAX_PYTHON_TRIPLES", math.comb(m, 3)):
         by_triple = verify_trifferent(code)
     assert by_triple.witness == scan
@@ -141,38 +142,39 @@ def test_planted_violation_keeps_its_witness(frac, monkeypatch):
     assert not naive_trifferent_triple(*(planted.codewords[i] for i in witness))
 
 
-def row_work(m, lo, hi):
-    return sum((m - 1 - i) ** 2 for i in range(lo, hi))
+def row_work(m, rows):
+    return sum((m - 1 - i) ** 2 for i in rows)
 
 
 class TestScanPlan:
     def test_split_by_triple_count(self):
-        plan = _scan_plan(500, 198, 2, 2)
-        assert plan[0][0] == 0 and plan[-1][1] == 498
-        assert all(a[1] == b[0] for a, b in zip(plan, plan[1:]))
-        total = row_work(500, 0, 498)
-        assert [round(row_work(500, lo, hi) / total, 2) for lo, hi in plan] == [0.5, 0.5]
-        # a split uniform in i would end the first range near row 249
-        assert plan[0][1] < 125
+        # each part's rows hold the mean share of the work to within the first
+        # row's work, and the shares add up to the closed form
+        for m, parts in [(500, 2), (500, 3), (1452, 4), (5, 3), (41, 7)]:
+            shares = [row_work(m, range(p, m - 2, parts)) for p in range(parts)]
+            assert sum(shares) == row_work(m, range(m - 2)) == (m - 1) * m * (2 * m - 1) // 6 - 1
+            assert all(abs(parts * s - sum(shares)) <= parts * (m - 1) ** 2 for s in shares)
+        assert _scan_parts(500, 198, 2, 2) == 2
 
     def test_pool_is_capped_by_cpus_and_rows(self):
-        assert len(_scan_plan(500, 198, 1000, 2)) == 2
-        assert len(_scan_plan(500, 198, 3, 64)) == 3
-        assert _scan_plan(5, 10**9, 1000, 64) == [(0, 1), (1, 2), (2, 3)]
-        assert _scan_plan(3, 10**9, 4, 4) == [(0, 1)]
-        assert _scan_plan(40, 10**9, 1, 8) == [(0, 38)]
+        assert _scan_parts(500, 198, 1000, 2) == 2
+        assert _scan_parts(500, 198, 3, 64) == 3
+        assert _scan_parts(5, 10**9, 1000, 64) == 3
+        assert _scan_parts(3, 10**9, 4, 4) == 1
+        assert _scan_parts(40, 10**9, 1, 8) == 1
 
     def test_small_scans_stay_serial(self):
         # the q = 7 triple code with a planted word: ~0.1 s of scanning
-        assert _scan_plan(393, 88, 2, 2) == [(0, 391)]
-        assert len(_scan_plan(500, 198, 64, 64)) == 4
+        assert _scan_parts(393, 88, 2, 2) == 1
+        assert _scan_parts(500, 198, 64, 64) == 4
 
     @pytest.mark.parametrize("n", [84, 198])
     def test_plan_matches_the_numpy_plan(self, n):
         np = pytest.importorskip("numpy")
 
         def numpy_plan(m, workers, cpus):
-            # the plan as first written, with cumsum and searchsorted
+            # the contiguous split by work as first written, with cumsum and
+            # searchsorted
             rows = m - 2
             work = np.concatenate(([0], np.cumsum((m - 1 - np.arange(rows)) ** 2)))
             parts = max(1, min(workers, cpus, rows, int(work[-1]) * n // core._MIN_PROCESS_WORK))
@@ -182,8 +184,7 @@ class TestScanPlan:
 
         for m in [*range(3, 1453, 13), 393, 500, 1452]:
             for workers, cpus in itertools.product(range(1, 5), repeat=2):
-                assert _scan_plan(m, n, workers, cpus) == numpy_plan(m, workers, cpus)
-        assert _scan_plan(500, 198, 2, 2) == [(0, 104), (104, 498)]
+                assert _scan_parts(m, n, workers, cpus) == len(numpy_plan(m, workers, cpus))
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError):
