@@ -161,23 +161,16 @@ def _cmd_bound(args):
 
 
 def _load_graph(args):
-    """The graphs.DerivedGraph of args.code; kind auto picks it from the code's r."""
+    """The graphs.DerivedGraph of args.code; kind auto takes r from the code."""
     from . import graphs
 
     code = core.read_triff(args.code)
-    kind = args.kind
-    if kind == "auto":
-        if code.r_bound == 2:
-            kind = "r2"
-        elif code.r_bound == 3:
-            kind = "r3"
-        else:
-            raise ValueError(
-                "graph kind cannot be inferred; the code is neither 2- nor 3-bounded"
-            )
-    if kind == "r2":
-        return graphs.build_graph_r2(code)
-    return graphs.build_graph_r3(code)
+    r = code.r_bound if args.kind == "auto" else int(args.kind[1:])
+    if r not in (2, 3):
+        raise ValueError(
+            "graph kind cannot be inferred; the code is neither 2- nor 3-bounded"
+        )
+    return graphs.build_graph_r2(code) if r == 2 else graphs.build_graph_r3(code)
 
 
 def _cmd_graph(args):

@@ -19,7 +19,6 @@ import itertools
 import math
 import os
 import sys
-from functools import cached_property
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -65,8 +64,6 @@ _PLANE_TABLES = (
     str.maketrans("012", "010"),
     str.maketrans("012", "001"),
 )
-
-_VALID_SYMBOLS = frozenset("012")
 
 
 class TriffParseError(ValueError):
@@ -127,7 +124,8 @@ class Codeword(_Frozen):
 
     Bit i of mask_s is set iff coordinate i holds symbol s.  The three masks
     partition the coordinate set; this is validated at construction so that
-    downstream mask arithmetic never has to re-check it.
+    downstream mask arithmetic never has to re-check it.  The word also keeps
+    its string, which Code sorts by.
     """
 
     _fields = ("n", "mask0", "mask1", "mask2")
@@ -146,6 +144,10 @@ class Codeword(_Frozen):
         d["mask0"] = mask0
         d["mask1"] = mask1
         d["mask2"] = mask2
+        # read each mask's binary digits as hex digits, so that one sum puts
+        # symbol s in hex digit i; base 16, unlike base 10, has no digit limit
+        digits = int(format(mask1, "b"), 16) + 2 * int(format(mask2, "b"), 16)
+        d["string"] = format(digits, f"0{n}x")[::-1]
 
     # spelled out, as triple checks compare words often
     def __eq__(self, other):
@@ -169,7 +171,7 @@ class Codeword(_Frozen):
             raise ValueError(f"invalid symbols in codeword {s!r}")
         rev = s[::-1]  # bit i of each mask is coordinate i (leftmost char)
         # the planes of a string over 012 partition its coordinates, so
-        # __init__'s checks are skipped; "string" fills the cached_property below
+        # __init__'s checks are skipped
         word = cls.__new__(cls)
         word.__dict__.update(
             n=len(s),
@@ -179,13 +181,6 @@ class Codeword(_Frozen):
             string=s,
         )
         return word
-
-    @cached_property
-    def string(self) -> str:
-        # read each mask's binary digits as hex digits, so that one sum puts
-        # symbol s in hex digit i; base 16, unlike base 10, has no digit limit
-        digits = int(format(self.mask1, "b"), 16) + 2 * int(format(self.mask2, "b"), 16)
-        return format(digits, f"0{self.n}x")[::-1]
 
     def __str__(self) -> str:
         return self.string
@@ -758,12 +753,13 @@ def parse_triff(text: str) -> Code:
             raise TriffParseError(
                 lineno, f"expected {n} symbols, got {len(line)}"
             )
-        if set(line) - _VALID_SYMBOLS:
-            raise TriffParseError(lineno, "codeword symbols must be 0, 1, or 2")
+        try:
+            w = Codeword.from_string(line)
+        except ValueError:
+            raise TriffParseError(lineno, "codeword symbols must be 0, 1, or 2") from None
         if line in seen:
             raise TriffParseError(lineno, f"duplicate codeword {line}")
         seen.add(line)
-        w = Codeword.from_string(line)
         if r_declared is not None and w.count_twos != r_declared:
             raise TriffParseError(
                 lineno,

@@ -63,33 +63,55 @@ class DerivedGraph(_Frozen):
         return sorted({right for (_, right) in self.edges})
 
 
+def _edge_key(kind: str, n: int, u, v) -> tuple:
+    """Validate edge (u, v) of a graph of this kind and return its table key."""
+    if kind == SIMPLE:
+        a, b = u, v
+        if a == b:
+            raise ValueError("loops are not allowed")
+    else:
+        a, b = v
+        if a == b:
+            raise ValueError("right vertices are 2-subsets, got a repeated index")
+    if not (0 <= u < n and 0 <= a < n and 0 <= b < n):
+        raise ValueError(f"edge ({u}, {v}) out of range")
+    pair = (a, b) if a < b else (b, a)
+    return pair if kind == SIMPLE else (u, pair)
+
+
+def _graph(kind: str, n: int, pairs) -> DerivedGraph:
+    """A graph from (edge, origins) pairs; an edge given twice joins its origins."""
+    table: dict = {}
+    for (u, v), origins in pairs:
+        key = _edge_key(kind, n, u, v)
+        table[key] = table.get(key, ()) + tuple(origins)
+    return DerivedGraph(kind=kind, n=n, edges=table)
+
+
+def _with_origins(edges):
+    return edges.items() if isinstance(edges, dict) else ((e, ()) for e in edges)
+
+
 def simple_graph(n: int, edges) -> DerivedGraph:
     """Build a simple graph from (i, j) pairs; origins default to empty."""
-    table: dict = {}
-    items = edges.items() if isinstance(edges, dict) else ((e, ()) for e in edges)
-    for (i, j), origins in items:
-        if i == j:
-            raise ValueError("loops are not allowed")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range")
-        key = (i, j) if i < j else (j, i)
-        table[key] = table.get(key, ()) + tuple(origins)
-    return DerivedGraph(kind=SIMPLE, n=n, edges=table)
+    return _graph(SIMPLE, n, _with_origins(edges))
 
 
 def bipartite_graph(n: int, edges) -> DerivedGraph:
     """Build a bipartite graph from (i, (j, k)) pairs between [n] and 2-subsets of [n]."""
-    table: dict = {}
-    items = edges.items() if isinstance(edges, dict) else ((e, ()) for e in edges)
-    for (i, right), origins in items:
-        j, k = right
-        if j == k:
-            raise ValueError("right vertices are 2-subsets, got a repeated index")
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise ValueError(f"edge ({i}, {right}) out of range")
-        key = (i, (j, k) if j < k else (k, j))
-        table[key] = table.get(key, ()) + tuple(origins)
-    return DerivedGraph(kind=BIPARTITE, n=n, edges=table)
+    return _graph(BIPARTITE, n, _with_origins(edges))
+
+
+def _code_graph(code: Code, r: int) -> DerivedGraph:
+    """One edge per codeword, from its smallest 2-location to the other r - 1."""
+    if code.r_bound != r:
+        raise ValueError(f"build_graph_r{r} requires an exactly {r}-bounded code")
+    kind = SIMPLE if r == 2 else BIPARTITE
+    pairs = []
+    for idx, w in enumerate(code):
+        first, *rest = w.two_locations()
+        pairs.append(((first, rest[0] if kind == SIMPLE else tuple(rest)), (idx,)))
+    return _graph(kind, code.n, pairs)
 
 
 def build_graph_r2(code: Code) -> DerivedGraph:
@@ -98,25 +120,12 @@ def build_graph_r2(code: Code) -> DerivedGraph:
     Two codewords may share an edge; a third sharing it would break
     trifference, so annotation multiplicity stays at most 2 on verified codes.
     """
-    if code.r_bound != 2:
-        raise ValueError("build_graph_r2 requires an exactly 2-bounded code")
-    table: dict = {}
-    for idx, w in enumerate(code):
-        i, j = w.two_locations()
-        table[(i, j)] = table.get((i, j), ()) + (idx,)
-    return DerivedGraph(kind=SIMPLE, n=code.n, edges=table)
+    return _code_graph(code, 2)
 
 
 def build_graph_r3(code: Code) -> DerivedGraph:
     """One edge per codeword: smallest 2-location against the pair of the other two."""
-    if code.r_bound != 3:
-        raise ValueError("build_graph_r3 requires an exactly 3-bounded code")
-    table: dict = {}
-    for idx, w in enumerate(code):
-        i, j, k = w.two_locations()
-        key = (i, (j, k))
-        table[key] = table.get(key, ()) + (idx,)
-    return DerivedGraph(kind=BIPARTITE, n=code.n, edges=table)
+    return _code_graph(code, 3)
 
 
 class KstWitness(NamedTuple):
@@ -124,23 +133,6 @@ class KstWitness(NamedTuple):
 
     left: tuple
     right: tuple
-
-
-def _neighbor_masks_simple(g: DerivedGraph) -> list[int]:
-    nbr = [0] * g.n
-    for (i, j) in g.edges:
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
-    return nbr
-
-
-def _neighbor_masks_bipartite(g: DerivedGraph):
-    rights = g.right_vertices()
-    index = {right: pos for pos, right in enumerate(rights)}
-    nbr = [0] * g.n
-    for (i, right) in g.edges:
-        nbr[i] |= 1 << index[right]
-    return nbr, rights
 
 
 def _mask_bits(mask: int):
@@ -160,11 +152,13 @@ def contains_kst(g: DerivedGraph, s: int, t: int) -> KstWitness | None:
     """
     if s < 1 or t < 1:
         raise ValueError("s and t must be positive")
-    if g.kind == SIMPLE:
-        nbr = _neighbor_masks_simple(g)
-        labels = range(g.n)
-    else:
-        nbr, labels = _neighbor_masks_bipartite(g)
+    labels = range(g.n) if g.kind == SIMPLE else g.right_vertices()
+    index = {label: pos for pos, label in enumerate(labels)}
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << index[v]
+        if g.kind == SIMPLE:
+            nbr[v] |= 1 << u
     candidates = [v for v in range(g.n) if nbr[v].bit_count() >= t]
     for left in itertools.combinations(candidates, s):
         common = nbr[left[0]]
@@ -186,18 +180,11 @@ def contains_kst(g: DerivedGraph, s: int, t: int) -> KstWitness | None:
 
 def witness_is_valid(g: DerivedGraph, witness: KstWitness) -> bool:
     """Re-check every claimed edge directly against the edge table."""
-    if g.kind == SIMPLE:
-        for u in witness.left:
-            for v in witness.right:
-                key = (u, v) if u < v else (v, u)
-                if key not in g.edges:
-                    return False
-        return True
-    for u in witness.left:
-        for right in witness.right:
-            if (u, right) not in g.edges:
-                return False
-    return True
+    return all(
+        ((u, v) if g.kind == BIPARTITE or u < v else (v, u)) in g.edges
+        for u in witness.left
+        for v in witness.right
+    )
 
 
 class BipartitionStats(NamedTuple):
@@ -226,37 +213,30 @@ def random_bipartition_check(
 
     A uniformly random pair of distinct vertices is split with probability
     2*ceil(n/2)*floor(n/2) / (n*(n-1)), slightly above 1/2, and the sampled
-    means sit near that.  Graphs without edges yield a not-applicable result.
+    means sit near that.  Graphs without edges yield a not-applicable result,
+    once the mode's arguments have been checked as on any other graph.
     """
     if g.kind != SIMPLE:
         raise ValueError("bipartition check applies to simple graphs only")
+    if not exhaustive:
+        if seed is None:
+            raise ValueError("sampling mode requires an explicit seed")
+        if trials < 1:
+            raise ValueError("trials must be positive")
     n = g.n
     edges = list(g.edges)
-    if not edges or n < 2:
-        return BipartitionStats(
-            n=n,
-            edge_count=len(edges),
-            trials=0,
-            seed=seed,
-            exhaustive=exhaustive,
-            mean_crossing_fraction=None,
-            expected_edge_crossing=None,
-        )
     half = math.ceil(n / 2)
-    expected = 2 * half * (n - half) / (n * (n - 1))
 
     def crossing_fraction(side_a: set) -> float:
         crossing = sum(1 for (u, v) in edges if (u in side_a) != (v in side_a))
         return crossing / len(edges)
 
-    if exhaustive:
+    if not edges:
+        trials, sides = 0, ()
+    elif exhaustive:
         trials = math.comb(n, half)
         sides = itertools.combinations(range(n), half)
     else:
-        if seed is None:
-            raise ValueError("sampling mode requires an explicit seed")
-        if trials < 1:
-            raise ValueError("trials must be positive")
         rng = Random(seed)
         sides = (rng.sample(range(n), half) for _ in range(trials))
     # a running sum, in the order the sides come, holds one side at a time
@@ -267,22 +247,17 @@ def random_bipartition_check(
         trials=trials,
         seed=None if exhaustive else seed,
         exhaustive=exhaustive,
-        mean_crossing_fraction=total / trials,
-        expected_edge_crossing=expected,
+        mean_crossing_fraction=total / trials if edges else None,
+        expected_edge_crossing=2 * half * (n - half) / (n * (n - 1)) if edges else None,
     )
 
 
 def edge_list_text(g: DerivedGraph) -> str:
     """One edge per line: 'u v' for simple graphs, 'u j,k' for bipartite ones."""
-    lines = []
-    for key in sorted(g.edges):
-        if g.kind == SIMPLE:
-            u, v = key
-            lines.append(f"{u} {v}")
-        else:
-            u, (j, k) = key
-            lines.append(f"{u} {j},{k}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(
+        f"{u} {v}\n" if g.kind == SIMPLE else f"{u} {v[0]},{v[1]}\n"
+        for u, v in sorted(g.edges)
+    )
 
 
 def graph_summary(g: DerivedGraph, checks=None) -> dict:

@@ -75,23 +75,17 @@ def a_r_universe(n: int, r: int) -> list[Codeword]:
     """All words with exactly r twos, lexicographically ordered."""
     if not 0 <= r <= n:
         raise ValueError(f"r must lie in [0, {n}], got {r}")
-    out = []
-    for locs in itertools.combinations(range(n), r):
-        two_mask = 0
-        for i in locs:
-            two_mask |= 1 << i
-        rest = [i for i in range(n) if not (two_mask >> i) & 1]
-        for bits in range(1 << (n - r)):
-            m1 = 0
-            for pos, i in enumerate(rest):
-                if (bits >> pos) & 1:
-                    m1 |= 1 << i
-            full = (1 << n) - 1
-            out.append(
-                Codeword(n=n, mask0=full ^ two_mask ^ m1, mask1=m1, mask2=two_mask)
-            )
-    out.sort(key=lambda w: w.string)
-    return out
+
+    def layer(k: int, t: int) -> list[str]:
+        # a leading 0 or 1 leaves t twos for the tail, a leading 2 leaves t - 1
+        if not 0 <= t <= k:
+            return []
+        if k == 0:
+            return [""]
+        tails = layer(k - 1, t)
+        return [h + x for h in "01" for x in tails] + ["2" + x for x in layer(k - 1, t - 1)]
+
+    return [Codeword.from_string(s) for s in layer(n, r)]
 
 
 class BadTripleOracleInstance(NamedTuple):

@@ -60,6 +60,14 @@ class TestConstructAndVerify:
         assert run(["verify", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_symbol_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "symbol.triff"
+        path.write_text("n=3\n012\n0x2\n")
+        assert run(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: codeword symbols must be 0, 1, or 2\n"
+
     def test_missing_file(self, tmp_path):
         assert run(["verify", str(tmp_path / "nope.triff")]) == 2
 

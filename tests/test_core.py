@@ -78,7 +78,7 @@ class TestCode:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             code_of("01", "01")
-        # one copy from a string (its string cached), one from masks
+        # one copy from a string (its string as given), one from masks
         with pytest.raises(ValueError, match="duplicate codeword 0212"):
             Code(4, (cw("0212"), Codeword(4, mask0=0b0001, mask1=0b0100, mask2=0b1010)))
 

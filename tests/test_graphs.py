@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -124,6 +125,16 @@ class TestBipartition:
         st = random_bipartition_check(simple_graph(3, {}), exhaustive=True)
         assert not st.applicable
 
+    def test_empty_graph_checks_the_mode_first(self):
+        g = simple_graph(3, {})
+        with pytest.raises(ValueError, match="explicit seed"):
+            random_bipartition_check(g)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            random_bipartition_check(g, seed=1, trials=0)
+        assert random_bipartition_check(g, seed=1, exhaustive=True).seed is None
+        st = random_bipartition_check(g, seed=1, trials=5)
+        assert (st.seed, st.trials) == (1, 0)
+
     def test_sampled_mean_is_near_the_expectation(self):
         c = triple_construction(2, one_bounded(3))
         p = project(c, best_project(c))
@@ -171,3 +182,43 @@ class TestSummaries:
         assert s["edge_count"] == g.edge_count
         assert s["freeness"][0]["free"] is True
         assert sum(s["multiplicity_histogram"].values()) == g.edge_count
+
+
+def test_q3_graphs_are_pinned(triple_codes):
+    # the projected q = 3 triple code gives a simple graph, the code itself
+    # a bipartite one
+    c = triple_codes[3]
+    p = project(c, best_project(c))
+    g = build_graph_r2(p)
+    assert graph_summary(g) == {
+        "schema": 1,
+        "kind": "simple",
+        "n_left": 17,
+        "n_right": None,
+        "edge_count": 8,
+        "multiplicity_histogram": {"1": 8},
+        "freeness": [{"s": 3, "t": 9, "free": True}],
+    }
+    assert edge_list_text(g) == "5 12\n5 15\n7 16\n8 13\n8 14\n8 15\n10 14\n10 15\n"
+    assert contains_kst(g, 2, 2) == ((8, 10), (14, 15))
+    assert contains_kst(g, 1, 3) == ((8,), (13, 14, 15))
+    assert contains_kst(g, 2, 3) is None
+
+    b = build_graph_r3(c)
+    assert graph_summary(b) == {
+        "schema": 1,
+        "kind": "bipartite",
+        "n_left": 18,
+        "n_right": 25,
+        "edge_count": 35,
+        "multiplicity_histogram": {"1": 34, "2": 1},
+        "freeness": [{"s": 5, "t": 2**21, "free": True}],
+    }
+    text = edge_list_text(b)
+    assert text.startswith("1 6,17\n1 8,14\n1 8,16\n1 10,15\n2 6,13\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ce544c20236687c4976310978206eaf079a8abdeed3e9adef607839737015587"
+    )
+    assert contains_kst(b, 2, 2) == ((3, 5), ((6, 14), (8, 13)))
+    assert contains_kst(b, 2, 3) == ((3, 5), ((6, 14), (8, 13), (10, 17)))
+    assert contains_kst(b, 3, 9) is None

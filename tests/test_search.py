@@ -44,6 +44,12 @@ class TestUniverses:
         words = [w.string for w in a_r_universe(3, 1)]
         assert words == sorted(words)
 
+    def test_layer_universe_is_the_filtered_full_universe(self):
+        for n in range(1, 7):
+            full = full_universe(n)
+            for r in range(n + 1):
+                assert a_r_universe(n, r) == [w for w in full if w.count_twos == r]
+
 
 class TestBadTriples:
     def test_all_binary_triple_is_bad(self):
