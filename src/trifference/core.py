@@ -2,15 +2,24 @@
 
 A code C over {0,1,2} is trifferent when every triple of distinct codewords
 has a coordinate at which the three words take all three symbols.  Codewords
-carry one integer bitmask per symbol.  The bulk kernels (the triple scan and
-shift sampling) instead multiply 0/1 symbol planes as float32 matrices.  They
-stay exact: every product term is 0 or 1, so each partial sum is an integer
-no larger than the number of terms, which is kept below 2**24 (see _planes).
-numpy is imported inside the kernels that use it, and fractions inside shift
-sampling, so a command that never scans (a bound, prune, project or graph)
-starts without them.  Codes with few triples are verified by mask arithmetic
-alone, and a verification split over worker processes, which take the rows
-of the scan round-robin, loads numpy only in the workers.
+carry one integer bitmask per symbol.
+
+The verifier has two triple-scan kernels, and a cost rule (_scan_plan) picks
+one from the code's size and how often its words hold each coordinate's
+rarest symbol.  The star kernel (_scan_stars) works on big-int bitsets: a
+separating coordinate needs one word of the triple on its rarest symbol, so
+each pair of words is checked at those coordinates only.  That suits every
+code this package constructs, whose rarest symbols are rare.  The BLAS kernel
+(_scan_rows) multiplies 0/1 symbol planes as float32 matrices, and wins on
+dense codes.  It stays exact: every product term is 0 or 1, so each partial
+sum is an integer no larger than the number of terms, which is kept below
+2**24 (see _planes).  Shift sampling uses such products too.
+
+numpy is imported inside the BLAS kernel and shift sampling, and fractions
+inside shift sampling, so a command that runs neither (verifying a sparse
+code, a bound, prune, project or graph) starts without them.  A verification
+split over worker processes, which take the rows of the scan round-robin,
+loads numpy, if at all, only in the workers.
 """
 
 from __future__ import annotations
@@ -19,10 +28,13 @@ import itertools
 import math
 import os
 import sys
+from functools import reduce
+from operator import getitem, or_
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from fractions import Fraction
 
     import numpy as np
@@ -64,6 +76,20 @@ _PLANE_TABLES = (
     str.maketrans("012", "010"),
     str.maketrans("012", "001"),
 )
+
+# Maps the bytes of "0", "1" and "2" to 0, 1 and 2, so that a word's bytes
+# index per-coordinate tables by symbol.
+_SYMBOL_BYTES = bytes.maketrans(b"012", b"\x00\x01\x02")
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, in increasing order."""
+    bits = []
+    while mask:
+        lsb = mask & -mask
+        bits.append(lsb.bit_length() - 1)
+        mask ^= lsb
+    return bits
 
 
 class TriffParseError(ValueError):
@@ -196,13 +222,7 @@ class Codeword(_Frozen):
 
     def two_locations(self) -> tuple[int, ...]:
         """Sorted coordinates where the word has symbol 2."""
-        locs = []
-        m = self.mask2
-        while m:
-            lsb = m & -m
-            locs.append(lsb.bit_length() - 1)
-            m ^= lsb
-        return tuple(locs)
+        return tuple(_set_bits(self.mask2))
 
 
 class Code(_Frozen):
@@ -280,11 +300,6 @@ def is_trifferent_triple(x: Codeword, y: Codeword, z: Codeword) -> bool:
     coordinatewise AND of the matching bitplanes.
     """
     _check_triple_args(x, y, z)
-    return _separated(x, y, z)
-
-
-def _separated(x: Codeword, y: Codeword, z: Codeword) -> bool:
-    """is_trifferent_triple without its argument checks, for words known valid."""
     acc = (
         x.mask0 & ((y.mask1 & z.mask2) | (y.mask2 & z.mask1))
         | x.mask1 & ((y.mask0 & z.mask2) | (y.mask2 & z.mask0))
@@ -365,30 +380,182 @@ def _scan_rows(
     return None
 
 
-# Starting a worker process costs tens of milliseconds, and each worker pays
-# its own numpy import (about 50 ms), so each must get at least this much
-# scan work (word pairs times coordinates, on the order of 0.1 s of
-# scanning); below that, fewer processes finish sooner.
+def _column_counts(words: str, n: int):
+    """For each coordinate, how many of the words hold 0, 1 and 2 there.
+
+    The words are joined in one string, each n long.
+    """
+    m = len(words) // n
+    for c in range(n):
+        column = words[c::n]
+        zeros, ones = column.count("0"), column.count("1")
+        yield zeros, ones, m - zeros - ones
+
+
+def _scan_stars(
+    words: str, n: int, first: int, step: int, few: int | None = None
+) -> tuple[int, int, int] | None:
+    """_scan_words's sparse sibling: the same witness, from big-int bitsets.
+
+    Let s*(c) be the rarest symbol at coordinate c (the smallest on ties),
+    and call c a star of word u when u holds s*(c) there.  Z_u is the set of
+    u's stars, and A_u and B_u are the coordinates where u holds the smaller
+    and the larger of the two other symbols.  Three words show all three
+    symbols at c exactly when one of them has a star there and the other two
+    hold the two other symbols.  So a triple i < j < k is separated at c in
+    one of two ways:
+
+    - c is a star of i, and j and k hold the two other symbols.  j's symbol
+      b at c then names k's: thirds[c][b] is the plane of the words holding
+      3 - s*(c) - b there (0 when b = s*(c)).  The same holds with i and j
+      swapped.  The OR of these over Z_i and Z_j is every k separated from
+      (i, j) at a star of i or j: search._pair_compat_masks's formula on
+      those coordinates only, |Z_i| + |Z_j| lookups.
+    - c is a star of k, and i and j hold the two other symbols there: Z_k
+      meets D = (A_i & B_j) | (B_i & A_j).
+
+    Each k > j that the first bitset misses is tested against D.  Up to
+    `few` of them are tested one by one; more are tested at once through
+    byte tables, where tables[b][x] ORs the star planes of the coordinates
+    8b + t for the bits t of x, so that one lookup per byte of D gives every
+    word with a star in D.  By default `few` is 2 plus half the bytes of D,
+    about where the two tests cost the same.  The tables take about 4 m n
+    bytes for m words.
+
+    The pairs make (m - 1) * sum_u |Z_u| lookups in all, against n
+    multiply-adds per triple for the BLAS kernel, so this kernel pays when
+    stars are rare.  A word of an r-bounded code has at most r of them, as no
+    coordinate's rarest symbol is more common there than 2.  Rows, pairs and
+    candidates go in order, so the first unseparated triple found is the
+    lex-smallest with i in range(first, m - 2, step).
+    """
+    m = len(words) // n
+    rows = range(first, m - 2, step)
+    if not rows:
+        return None
+    symbols = words.encode("ascii").translate(_SYMBOL_BYTES)
+    word = [symbols[u : u + n] for u in range(0, m * n, n)]
+    thirds, star_planes = [], []
+    rare = [0, 0, 0]  # rare[s]: the coordinates whose rarest symbol is s
+    for c, counts in enumerate(_column_counts(words, n)):
+        star = counts.index(min(counts))
+        rare[star] |= 1 << c
+        column = words[c::n][::-1]  # bit u is word u
+        planes = [int(column.translate(table), 2) for table in _PLANE_TABLES]
+        star_planes.append(planes[star])
+        thirds.append([planes[3 - star - b] if b != star else 0 for b in range(3)])
+    r0, r1, r2 = rare
+    Z, A, B = [], [], []
+    for u in range(0, m * n, n):
+        reverse = words[u : u + n][::-1]  # bit c is coordinate c
+        m0, m1, m2 = (int(reverse.translate(table), 2) for table in _PLANE_TABLES)
+        Z.append((m0 & r0) | (m1 & r1) | (m2 & r2))
+        A.append((m1 & r0) | (m0 & (r1 | r2)))
+        B.append((m2 & (r0 | r1)) | (m1 & r2))
+    anchors = [_set_bits(z) for z in Z]
+    width = (n + 7) // 8
+    star_planes += [0] * (8 * width - n)
+    tables = []
+    for b in range(0, 8 * width, 8):
+        table = [0]
+        for plane in star_planes[b : b + 8]:
+            table += [x | plane for x in table]
+        tables.append(table)
+    if few is None:
+        few = 2 + width // 2
+    everyone = (1 << m) - 1
+    through = [(2 << j) - 1 for j in range(m)]  # the words 0..j
+    for i in rows:
+        A_i, B_i = A[i], B[i]
+        # k's separated from (i, j) at a star c of j, given i's symbol at c
+        third_of_i = list(map(getitem, thirds, word[i]))
+        own = [(c, thirds[c]) for c in anchors[i]]
+        for j in range(i + 1, m - 1):
+            separated = through[j]
+            word_j = word[j]
+            for c, third in own:
+                separated |= third[word_j[c]]
+            for c in anchors[j]:
+                separated |= third_of_i[c]
+            if separated == everyone:
+                continue
+            rest = everyone ^ separated
+            D = (A_i & B[j]) | (B_i & A[j])
+            if rest.bit_count() <= few:
+                for k in _set_bits(rest):
+                    if not Z[k] & D:
+                        return (i, j, k)
+            else:
+                rest &= ~reduce(or_, map(getitem, tables, D.to_bytes(width, "little")))
+                if rest:
+                    return (i, j, (rest & -rest).bit_length() - 1)
+    return None
+
+
+def _scan_words(words: str, n: int, first: int, step: int) -> tuple[int, int, int] | None:
+    """_scan_rows over the words joined in one string, each n long."""
+    return _scan_rows(_symbol_matrix([words], n), first, step)
+
+
+# The costs of the two kernels, in multiply-adds of the BLAS kernel's
+# products, fitted to full scans of 39 constructed and random codes (16 to
+# 1,452 words, 8 to 200 coordinates) on a 2-vCPU Xeon, where one such
+# multiply-add takes about 19 ps.  The BLAS kernel also pays per row and for
+# building its planes, about m^2 n cells in all; the star kernel pays per
+# pair of words and per star lookup, a little more as the bitsets widen.
+_BLAS_ROW_WORK = 1_550_000
+_BLAS_CELL_WORK = 320
+_STAR_PAIR_WORK = 57_000
+_STAR_LOOKUP_WORK = 3_300
+
+# Starting a worker process costs tens of milliseconds, and a BLAS worker
+# pays its own numpy import (about 50 ms), so each must get at least this
+# much scan work (about 0.04 s of scanning where the costs were fitted);
+# below that, fewer processes finish sooner.
 _MIN_PROCESS_WORK = 2 * 10**9
 
-# Codes with at most this many triples are checked one triple at a time by
-# _separated, under 1 us each against 50 ms or more to import
-# numpy for the scan.  The 30- and 36-word base codes that the affine triple
-# construction uses for q = 5 fall under it.
-_MAX_PYTHON_TRIPLES = 10**4
 
+def _scan_plan(m: int, n: int, stars: int) -> tuple[Callable, int]:
+    """The kernel that scans m words of length n with `stars` stars in all, and its work.
 
-def _scan_parts(m: int, n: int, workers: int, cpus: int) -> int:
-    """How many processes share the scan of the rows i in [0, m - 2).
-
-    Part p scans rows p, p + parts, p + 2 parts, ...  Row i costs
-    (m - 1 - i)^2 * n, so this round-robin deal gives every part the mean
-    share to within the first row's cost; the total is
-    ((m - 1) m (2m - 1) / 6 - 1) * n.  There are at most
-    min(workers, cpus, m - 2) parts, and one unless each gets _MIN_PROCESS_WORK.
+    The work is estimated in _MIN_PROCESS_WORK's unit.  The star kernel is
+    chosen unless the BLAS kernel is estimated to be more than twice as fast:
+    the estimates leave out numpy's import, 0.1-0.15 s in a fresh process,
+    which is more than either kernel takes on a constructed code of a few
+    hundred words.  The BLAS kernel is estimated at most 1.84 times as fast
+    on the constructed codes that tests/test_verify.py lists (at most r stars
+    per word), and at least 2.6 times on random codes of 150 words or more
+    (about n/3 stars per word).
     """
-    work = (m - 1) * m * (2 * m - 1) // 6 - 1
-    return max(1, min(workers, cpus, m - 2, work * n // _MIN_PROCESS_WORK))
+    # |Z_i| + |Z_j| summed over the pairs i < j is (m - 1) * stars
+    star = m * (m - 1) // 2 * _STAR_PAIR_WORK + (m - 1) * stars * (_STAR_LOOKUP_WORK + m)
+    blas = _blas_work(m, n) + m * _BLAS_ROW_WORK + m * m * n * _BLAS_CELL_WORK
+    return (_scan_stars, star) if star <= 2 * blas else (_scan_words, blas)
+
+
+def _blas_work(m: int, n: int) -> int:
+    """Multiply-adds of the BLAS kernel's products on m words of length n.
+
+    Row i costs (m - 1 - i)^2 * n; the sum over the rows is
+    ((m - 1) m (2m - 1) / 6 - 1) * n, and 0 when there are none.
+    """
+    return max(0, ((m - 1) * m * (2 * m - 1) // 6 - 1) * n)
+
+
+def _scan_parts(m: int, n: int, workers: int, cpus: int, work: int | None = None) -> int:
+    """How many processes share a scan of the rows i in [0, m - 2).
+
+    Part p scans rows p, p + parts, p + 2 parts, ...  Row i costs the BLAS
+    kernel (m - 1 - i)^2 * n multiply-adds and the star kernel m - 1 - i
+    pairs, so for either this round-robin deal gives every part the mean
+    share to within the first row's cost.  `work` is the chosen kernel's
+    work (_scan_plan), by default the BLAS kernel's multiply-adds.
+    There are at most min(workers, cpus, m - 2) parts, and one unless each
+    gets _MIN_PROCESS_WORK.
+    """
+    if work is None:
+        work = _blas_work(m, n)
+    return max(1, min(workers, cpus, m - 2, work // _MIN_PROCESS_WORK))
 
 
 def _pin_blas_threads() -> None:
@@ -429,46 +596,37 @@ def _start_scan_worker() -> None:
         _pin_blas_threads()
 
 
-def _scan_words(words: str, n: int, first: int, step: int) -> tuple[int, int, int] | None:
-    """_scan_rows over the words joined in one string, each n long."""
-    return _scan_rows(_symbol_matrix([words], n), first, step)
-
-
 def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
     """Check every codeword triple; codes of size at most 2 pass vacuously.
 
-    A code with at most _MAX_PYTHON_TRIPLES triples is checked triple by
-    triple.  Larger ones are scanned with one matrix product per word (see
-    _scan_rows), so memory stays O(m*n + m^2) for m words of length n.  With
-    workers > 1 the rows are dealt round-robin to at most min(workers, cpu
-    count) processes (_scan_parts); small scans stay in this process.  Each
-    path yields the first witness of each part, and the smallest of them is
-    the lexicographically smallest violating index triple into the sorted
-    codeword list, whatever the path or the worker count.
+    _scan_plan picks the kernel: the star kernel (_scan_stars) for codes
+    whose words hold their coordinates' rarest symbols seldom, the BLAS
+    kernel (_scan_rows) for dense ones.  Either keeps memory at O(m*n + m^2)
+    for m words of length n.  With workers > 1 the rows are dealt
+    round-robin to at most min(workers, cpu count) processes (_scan_parts);
+    small scans stay in this process.  Each part yields its first witness,
+    and the smallest of them is the lexicographically smallest violating
+    index triple into the sorted codeword list, whatever the kernel or the
+    worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    m = len(code)
-    if math.comb(m, 3) <= _MAX_PYTHON_TRIPLES:
-        # a Code's words share one length and are distinct, so the per-triple
-        # argument checks are skipped
-        w = code.codewords
-        triples = itertools.combinations(range(m), 3)
-        found = [next((t for t in triples if not _separated(w[t[0]], w[t[1]], w[t[2]])), None)]
+    m, n = len(code), code.n
+    joined = "".join(code.strings())
+    kernel, work = _scan_plan(m, n, sum(map(min, _column_counts(joined, n))))
+    parts = _scan_parts(m, n, workers, os.cpu_count() or 1, work)
+    if parts == 1:
+        found = [kernel(joined, n, 0, 1)]
     else:
-        joined = "".join(code.strings())
-        parts = _scan_parts(m, code.n, workers, os.cpu_count() or 1)
-        if parts == 1:
-            found = [_scan_words(joined, code.n, 0, 1)]
-        else:
-            # the pool's modules cost every CLI start ~15 ms, so import on use
-            from concurrent.futures import ProcessPoolExecutor
+        # the pool's modules cost every CLI start ~15 ms, so import on use
+        from concurrent.futures import ProcessPoolExecutor
 
-            # the workers build their own symbol matrices, so that this process
-            # never loads numpy, whose idle BLAS threads would spin on their cores
-            with ProcessPoolExecutor(max_workers=parts, initializer=_start_scan_worker) as pool:
-                scans = [pool.submit(_scan_words, joined, code.n, p, parts) for p in range(parts)]
-                found = [scan.result() for scan in scans]
+        # the workers build their own bitsets or symbol matrices, so that this
+        # process never loads numpy, whose idle BLAS threads would spin on
+        # their cores
+        with ProcessPoolExecutor(max_workers=parts, initializer=_start_scan_worker) as pool:
+            scans = [pool.submit(kernel, joined, n, p, parts) for p in range(parts)]
+            found = [scan.result() for scan in scans]
     witness = min((t for t in found if t is not None), default=None)
     return VerificationResult(TRIFFERENT if witness is None else NOT_TRIFFERENT, witness)
 

@@ -13,7 +13,7 @@ import math
 from random import Random
 from typing import NamedTuple
 
-from .core import Code, _Frozen
+from .core import Code, _Frozen, _set_bits
 
 __all__ = [
     "DerivedGraph",
@@ -135,13 +135,6 @@ class KstWitness(NamedTuple):
     right: tuple
 
 
-def _mask_bits(mask: int):
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
-
-
 def contains_kst(g: DerivedGraph, s: int, t: int) -> KstWitness | None:
     """Search for K_{s,t}; left sets are enumerated lexicographically.
 
@@ -168,9 +161,7 @@ def contains_kst(g: DerivedGraph, s: int, t: int) -> KstWitness | None:
                 break
         else:
             if common.bit_count() >= t:
-                right = tuple(
-                    labels[pos] for pos in itertools.islice(_mask_bits(common), t)
-                )
+                right = tuple(labels[pos] for pos in _set_bits(common)[:t])
                 witness = KstWitness(left=left, right=right)
                 if not witness_is_valid(g, witness):
                     raise RuntimeError("detector produced an invalid witness")
@@ -179,12 +170,17 @@ def contains_kst(g: DerivedGraph, s: int, t: int) -> KstWitness | None:
 
 
 def witness_is_valid(g: DerivedGraph, witness: KstWitness) -> bool:
-    """Re-check every claimed edge directly against the edge table."""
-    return all(
-        ((u, v) if g.kind == BIPARTITE or u < v else (v, u)) in g.edges
-        for u in witness.left
-        for v in witness.right
-    )
+    """Re-check every claimed edge directly against the edge table.
+
+    Each edge is keyed as the graph keys it (_edge_key), so a bipartite right
+    vertex may name its pair in either order.  A witness with a vertex out of
+    range or named twice, or with a repeated index in a pair, is invalid.
+    """
+    try:
+        keys = {_edge_key(g.kind, g.n, u, v) for u in witness.left for v in witness.right}
+    except ValueError:
+        return False
+    return len(keys) == len(witness.left) * len(witness.right) and keys <= g.edges.keys()
 
 
 class BipartitionStats(NamedTuple):

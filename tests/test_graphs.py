@@ -8,6 +8,7 @@ import pytest
 from trifference.core import Code, Codeword, project, best_project
 from trifference.constructions import one_bounded, triple_construction
 from trifference.graphs import (
+    KstWitness,
     bipartite_graph,
     build_graph_r2,
     build_graph_r3,
@@ -101,6 +102,31 @@ class TestContainsKst:
             g = bipartite_graph(11, edges)
             w = contains_kst(g, 5, 7)
             assert w is not None and witness_is_valid(g, w)
+
+    def test_witness_names_a_right_vertex_in_either_order(self):
+        g = bipartite_graph(4, {(0, (3, 1))})
+        assert witness_is_valid(g, KstWitness(left=(0,), right=((3, 1),)))
+        assert witness_is_valid(g, KstWitness(left=(0,), right=((1, 3),)))
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ((4,), ((1, 3),)),  # left vertex out of range
+            ((0,), ((1, 4),)),  # right index out of range
+            ((0,), ((2, 2),)),  # a pair with a repeated index
+            ((0, 0), ((1, 3),)),  # a left vertex named twice
+            ((0,), ((1, 3), (3, 1))),  # a right vertex named twice
+        ],
+    )
+    def test_bad_bipartite_witness_is_invalid(self, left, right):
+        g = bipartite_graph(4, {(0, (1, 3)), (1, (2, 3))})
+        assert not witness_is_valid(g, KstWitness(left=left, right=right))
+
+    @pytest.mark.parametrize("left, right", [((0,), (0,)), ((0,), (5,)), ((0, 0), (1,)), ((0,), (1, 1))])
+    def test_bad_simple_witness_is_invalid(self, left, right):
+        g = simple_graph(5, {(0, 1)})
+        assert witness_is_valid(g, KstWitness(left=(1,), right=(0,)))
+        assert not witness_is_valid(g, KstWitness(left=left, right=right))
 
     def test_free_graph_reports_none(self):
         c = triple_construction(2, one_bounded(3))

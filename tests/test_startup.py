@@ -17,6 +17,8 @@ import trifference
 from trifference.constructions import one_bounded, triple_construction
 from trifference.core import Code, _scan_parts, write_triff
 
+from test_verify import plant_violation
+
 SRC = str(Path(trifference.__file__).resolve().parents[1])
 WATCHED = (
     "numpy",
@@ -123,12 +125,50 @@ def test_search_runs_without_numpy(tmp_path):
     assert "numpy" not in out["loaded"]
 
 
-def test_verify_loads_numpy(tmp_path):
-    # 150 words: far more triples than core._MAX_PYTHON_TRIPLES
+def test_star_code_verifies_without_numpy(tmp_path):
+    # the 150-word q = 5 triple code: 3 stars per word, the star kernel's kind
     write_triff(triple_construction(5, one_bounded(15)), tmp_path / "c.triff")
+    out = loaded_after([["verify", "c.triff"]], tmp_path)
+    assert out == {"rcs": [0], "loaded": []}
+
+
+def test_dense_code_loads_numpy(tmp_path):
+    # 200 seeded random words: about n/3 stars per word, the BLAS kernel's kind
+    rng = random.Random(7)
+    words = {"".join(rng.choice("012") for _ in range(100)) for _ in range(200)}
+    write_triff(Code.from_strings(sorted(words)), tmp_path / "c.triff")
     out = loaded_after([["verify", "c.triff"]], tmp_path)
     assert out["rcs"] == [0]
     assert "numpy" in out["loaded"]  # numpy itself loads ctypes
+
+
+def test_benchmark_codes_verify_with_numpy_blocked(tmp_path):
+    # the codes both benchmark workloads verify; a numpy that cannot be
+    # imported shows that neither this process nor a pool worker loads it
+    q7 = triple_construction(7, one_bounded(28))
+    q11 = triple_construction(11, one_bounded(66))
+    write_triff(q7, tmp_path / "q7.triff")
+    write_triff(Code.from_strings(random.Random(0).sample(q11.strings(), 500)), tmp_path / "q11-subset.triff")
+    for name, frac in (("early", 0.1), ("late", 0.6)):
+        write_triff(plant_violation(q7, frac, random.Random(1))[0], tmp_path / f"planted-{name}.triff")
+    (tmp_path / "blocked").mkdir()
+    (tmp_path / "blocked" / "numpy.py").write_text("raise ImportError('numpy is blocked')\n")
+    argvs = [
+        ["verify", name, "--workers", workers]
+        for name in ("q7.triff", "q11-subset.triff", "planted-early.triff", "planted-late.triff")
+        for workers in ("1", "2")
+    ] + [["construct", "triple", "--q", "5"], ["construct", "recursive", "--t", "2", "--target", "100"]]
+    script = f"from trifference import cli\nimport sys\nsys.exit(sum(cli.run(a) for a in {argvs!r}))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path / "blocked"), SRC])),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 4, proc.stderr  # each planted code exits 1 twice
+    assert proc.stdout.count("status=trifferent") == 4
+    assert "blocked" not in proc.stderr
 
 
 def test_small_codes_verify_without_numpy(tmp_path):

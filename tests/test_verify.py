@@ -1,7 +1,7 @@
-"""The verifier's triple scan against a brute-force reference, and its round-robin split."""
+"""The verifier's two triple-scan kernels against a brute-force reference, its kernel choice, and its round-robin split."""
 
+import contextlib
 import itertools
-import math
 import random
 from unittest import mock
 
@@ -11,11 +11,15 @@ from hypothesis import strategies as st
 
 from trifference import core
 from trifference.cli import run
-from trifference.constructions import one_bounded, triple_construction
+from trifference.constructions import one_bounded, recursive_construction, triple_construction
 from trifference.core import (
     Code,
+    _column_counts,
     _scan_parts,
+    _scan_plan,
     _scan_rows,
+    _scan_stars,
+    _scan_words,
     _symbol_matrix,
     naive_trifferent_triple,
     verify_trifferent,
@@ -60,22 +64,57 @@ def test_row_scan_matches_brute_force(code, block, step):
     assert min(filter(None, found.values()), default=None) == brute_witness(code)
 
 
+@st.composite
+def tied_codes(draw):
+    # every coordinate shows all three symbols, the two rarest often equally
+    # often, so that the rarest symbol is chosen by the tie rule
+    m = draw(st.integers(3, 12))
+    n = draw(st.integers(1, 10))
+    rng = draw(st.randoms(use_true_random=False))
+    columns = []
+    for _ in range(n):
+        rare = rng.randint(1, m // 3)
+        counts = [rare, rare, m - 2 * rare]
+        rng.shuffle(counts)
+        column = [s for s, count in zip("012", counts) for _ in range(count)]
+        rng.shuffle(column)
+        columns.append(column)
+    return Code.from_strings(sorted({"".join(w) for w in zip(*columns)}), n=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_codes(), tied_codes()), st.integers(1, 4), st.sampled_from([0, None, 10**9]))
+def test_star_scan_matches_brute_force(code, step, few):
+    # few = 0 tests every candidate through the byte tables, 10**9 one by one
+    words = "".join(code.strings())
+    found = {first: _scan_stars(words, code.n, first, step, few) for first in range(step)}
+    assert all(w[0] % step == first for first, w in found.items() if w)
+    assert min(filter(None, found.values()), default=None) == brute_witness(code)
+
+
+@contextlib.contextmanager
+def forced(kernel):
+    """verify_trifferent scans with this kernel, and splits even the smallest scan."""
+    with mock.patch.object(core, "_scan_plan", lambda m, n, stars: (kernel, m)), mock.patch.object(
+        core, "_MIN_PROCESS_WORK", 1
+    ):
+        yield
+
+
 @settings(max_examples=20, deadline=None)
 @given(small_codes())
 def test_verify_matches_brute_force_for_any_worker_count(code):
     want = brute_witness(code)
-    with mock.patch.object(core, "_MAX_PYTHON_TRIPLES", 0), mock.patch.object(
-        core, "_MIN_PROCESS_WORK", 1  # use the pool on small codes
-    ):
-        for workers in (1, 2, 3):
-            assert verify_trifferent(code, workers=workers).witness == want
+    for kernel in (_scan_stars, _scan_words):
+        with forced(kernel):
+            for workers in (1, 2, 3):
+                assert verify_trifferent(code, workers=workers).witness == want
 
 
 @st.composite
-def codes_around_the_threshold(draw):
-    # 3 to 48 words: C(40, 3) = 9,880 triples lie under core._MAX_PYTHON_TRIPLES,
-    # C(48, 3) = 17,296 above it; a binary prefix leaves few codes trifferent,
-    # a ternary one of length 60 most
+def random_codes(draw):
+    # 3 to 48 words; a binary prefix leaves few codes trifferent, a ternary
+    # one of length 60 most
     n = draw(st.integers(4, 70))
     prefix = draw(st.sampled_from(["01", "012"]))
     rng = draw(st.randoms(use_true_random=False))
@@ -88,23 +127,41 @@ def codes_around_the_threshold(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(codes_around_the_threshold())
-@example(one_bounded(20))  # 9,880 triples, trifferent
-@example(one_bounded(21))  # 11,480 triples, trifferent
+@given(random_codes())
+@example(one_bounded(20))  # trifferent
+@example(one_bounded(21))
 @example(Code.from_strings([*one_bounded(21).strings(), "1" * 21]))  # not trifferent
-def test_triple_by_triple_path_matches_the_scan(code):
-    m = len(code)
-    scan = _scan_rows(_symbol_matrix(code.strings(), code.n), 0, 1) if m > 2 else None
-    with mock.patch.object(core, "_MAX_PYTHON_TRIPLES", math.comb(m, 3)):
-        by_triple = verify_trifferent(code)
-    assert by_triple.witness == scan
-    assert by_triple.ok == (scan is None)
-    assert verify_trifferent(code, workers=2) == by_triple  # the real threshold
-    with mock.patch.object(core, "_MAX_PYTHON_TRIPLES", 0), mock.patch.object(
-        core, "_MIN_PROCESS_WORK", 1  # use the pool on small codes
-    ):
-        for workers in (1, 2):
-            assert verify_trifferent(code, workers=workers) == by_triple
+def test_star_kernel_matches_the_blas_scan(code):
+    scan = _scan_rows(_symbol_matrix(code.strings(), code.n), 0, 1)
+    assert _scan_stars("".join(code.strings()), code.n, 0, 1) == scan
+    result = verify_trifferent(code)  # the kernel _scan_plan picks
+    assert result.witness == scan
+    assert result.ok == (scan is None)
+    assert verify_trifferent(code, workers=2) == result
+    for kernel in (_scan_stars, _scan_words):
+        with forced(kernel):
+            for workers in (1, 2):
+                assert verify_trifferent(code, workers=workers) == result
+
+
+def dense_code(m: int, n: int, seed: int) -> Code:
+    """m distinct seeded random words of length n: each symbol about a third of each column."""
+    rng = random.Random(seed)
+    words: set = set()
+    while len(words) < m:
+        words.add("".join(rng.choice("012") for _ in range(n)))
+    return Code.from_strings(sorted(words))
+
+
+def test_dense_code_gives_one_witness_through_both_kernels():
+    code = dense_code(200, 50, 14)
+    want = _scan_rows(_symbol_matrix(code.strings(), code.n), 0, 1)
+    assert want is not None and want[0] > 10  # not the first rows
+    assert _scan_plan(200, 50, sum(map(min, _column_counts("".join(code.strings()), 50))))[0] is _scan_words
+    for kernel in (_scan_stars, _scan_words):
+        with forced(kernel):
+            for workers in (1, 2, 3):
+                assert verify_trifferent(code, workers=workers).witness == want
 
 
 def test_only_the_last_coordinate_separates():
@@ -144,6 +201,28 @@ def test_planted_violation_keeps_its_witness(frac, monkeypatch):
 
 def row_work(m, rows):
     return sum((m - 1 - i) ** 2 for i in rows)
+
+
+def plan_of(code: Code):
+    return _scan_plan(len(code), code.n, sum(map(min, _column_counts("".join(code.strings()), code.n))))[0]
+
+
+def test_constructed_codes_take_the_star_kernel():
+    for n in range(1, 121):
+        assert plan_of(one_bounded(n)) is _scan_stars
+    for q in (2, 3, 5, 7, 11):
+        code = triple_construction(q, one_bounded((q * q + q + 1) // 2))
+        assert plan_of(code) is _scan_stars
+        words = random.Random(q).sample(code.strings(), len(code) // 3)
+        assert plan_of(Code.from_strings(words)) is _scan_stars
+    for t, target in itertools.product((1, 2, 3), (10, 30, 100, 400)):
+        assert plan_of(recursive_construction(t, target)) is _scan_stars
+
+
+@pytest.mark.parametrize("m", [200, 300, 500])
+def test_dense_codes_of_200_words_take_blas(m):
+    for n in (10, 30, 100, 198):
+        assert plan_of(dense_code(m, n, m + n)) is _scan_words
 
 
 class TestScanPlan:
