@@ -4,22 +4,24 @@ A code C over {0,1,2} is trifferent when every triple of distinct codewords
 has a coordinate at which the three words take all three symbols.  Codewords
 carry one integer bitmask per symbol.
 
-The verifier has two triple-scan kernels, and a cost rule (_scan_plan) picks
-one from the code's size and how often its words hold each coordinate's
-rarest symbol.  The star kernel (_scan_stars) works on big-int bitsets: a
-separating coordinate needs one word of the triple on its rarest symbol, so
-each pair of words is checked at those coordinates only.  That suits every
-code this package constructs, whose rarest symbols are rare.  The BLAS kernel
-(_scan_rows) multiplies 0/1 symbol planes as float32 matrices, and wins on
-dense codes.  It stays exact: every product term is 0 or 1, so each partial
-sum is an integer no larger than the number of terms, which is kept below
-2**24 (see _planes).  Shift sampling uses such products too.
+The verifier has two triple-scan kernels, and one plan (_scan_plan) picks
+the kernel and the number of processes from the code's size, how often its
+words hold each coordinate's rarest symbol, and the CPUs at hand.  The star
+kernel (_scan_stars) works on big-int bitsets: a separating coordinate needs
+one word of the triple on its rarest symbol, so each pair of words is
+checked at those coordinates only.  That suits every code this package
+constructs, whose rarest symbols are rare.  The BLAS kernel (_scan_rows)
+multiplies 0/1 symbol planes as float32 matrices, and wins on dense codes.
+It stays exact: every product term is 0 or 1, so each partial sum is an
+integer no larger than the number of terms, which is kept below 2**24 (see
+_planes).  Shift sampling uses such products too.
 
 numpy is imported inside the BLAS kernel and shift sampling, and fractions
 inside shift sampling, so a command that runs neither (verifying a sparse
-code, a bound, prune, project or graph) starts without them.  A verification
-split over worker processes, which take the rows of the scan round-robin,
-loads numpy, if at all, only in the workers.
+code, a bound, prune, project or graph) starts without them.  Both kernels
+scan the rows they are handed; verify_trifferent hands one process every
+row, or deals them round-robin to worker processes, and then loads numpy,
+if at all, only in the workers.
 """
 
 from __future__ import annotations
@@ -349,13 +351,13 @@ def _planes(U: np.ndarray, targets) -> np.ndarray:
     return out
 
 
-def _scan_rows(
-    U: np.ndarray, first: int, step: int, block: int = 128
-) -> tuple[int, int, int] | None:
-    """Lex-smallest violating triple (i, j, k) with i in range(first, m - 2, step), else None.
+def _scan_rows(words: str, n: int, rows: range, block: int = 128) -> tuple[int, int, int] | None:
+    """Lex-smallest violating triple (i, j, k) with i in rows, else None.
 
-    For fixed i, let E and F mark where each later word holds U_i + 1 and
-    U_i + 2 (mod 3).  Then N = E F^T + F E^T counts, for each pair (j, k),
+    The words are joined in one string, each n long, and rows is an
+    increasing range of row indices.  For fixed i, let E and F mark where
+    each later word holds U_i + 1 and U_i + 2 (mod 3), U being the words'
+    symbol matrix.  Then N = E F^T + F E^T counts, for each pair (j, k),
     the coordinates at which i, j and k show all three symbols, and (i, j, k)
     violates trifference exactly when N[j, k] = 0.  N is symmetric, so it is
     built [E F] [F E]^T in row blocks that start at the diagonal and cover
@@ -364,8 +366,8 @@ def _scan_rows(
     """
     import numpy as np
 
-    m = U.shape[0]
-    for i in range(first, m - 2, step):
+    U = _symbol_matrix([words], n)
+    for i in rows:
         later = U[i + 1 :]
         up1, up2 = (U[i] + 1) % 3, (U[i] + 2) % 3
         ef, fe = _planes(later, (up1, up2)), _planes(later, (up2, up1))
@@ -393,9 +395,9 @@ def _column_counts(words: str, n: int):
 
 
 def _scan_stars(
-    words: str, n: int, first: int, step: int, few: int | None = None
+    words: str, n: int, rows: range, few: int | None = None
 ) -> tuple[int, int, int] | None:
-    """_scan_words's sparse sibling: the same witness, from big-int bitsets.
+    """_scan_rows's sparse sibling: the same witness, from big-int bitsets.
 
     Let s*(c) be the rarest symbol at coordinate c (the smallest on ties),
     and call c a star of word u when u holds s*(c) there.  Z_u is the set of
@@ -427,10 +429,9 @@ def _scan_stars(
     stars are rare.  A word of an r-bounded code has at most r of them, as no
     coordinate's rarest symbol is more common there than 2.  Rows, pairs and
     candidates go in order, so the first unseparated triple found is the
-    lex-smallest with i in range(first, m - 2, step).
+    lex-smallest with i in rows.
     """
     m = len(words) // n
-    rows = range(first, m - 2, step)
     if not rows:
         return None
     symbols = words.encode("ascii").translate(_SYMBOL_BYTES)
@@ -492,11 +493,6 @@ def _scan_stars(
     return None
 
 
-def _scan_words(words: str, n: int, first: int, step: int) -> tuple[int, int, int] | None:
-    """_scan_rows over the words joined in one string, each n long."""
-    return _scan_rows(_symbol_matrix([words], n), first, step)
-
-
 # The costs of the two kernels, in multiply-adds of the BLAS kernel's
 # products, fitted to full scans of 39 constructed and random codes (16 to
 # 1,452 words, 8 to 200 coordinates) on a 2-vCPU Xeon, where one such
@@ -515,47 +511,30 @@ _STAR_LOOKUP_WORK = 3_300
 _MIN_PROCESS_WORK = 2 * 10**9
 
 
-def _scan_plan(m: int, n: int, stars: int) -> tuple[Callable, int]:
-    """The kernel that scans m words of length n with `stars` stars in all, and its work.
+def _scan_plan(m: int, n: int, stars: int, workers: int, cpus: int) -> tuple[Callable, int]:
+    """The kernel that scans m words of length n, `stars` stars in all, and its process count.
 
-    The work is estimated in _MIN_PROCESS_WORK's unit.  The star kernel is
-    chosen unless the BLAS kernel is estimated to be more than twice as fast:
-    the estimates leave out numpy's import, 0.1-0.15 s in a fresh process,
-    which is more than either kernel takes on a constructed code of a few
-    hundred words.  The BLAS kernel is estimated at most 1.84 times as fast
-    on the constructed codes that tests/test_verify.py lists (at most r stars
-    per word), and at least 2.6 times on random codes of 150 words or more
-    (about n/3 stars per word).
+    The star kernel is chosen unless the BLAS kernel is estimated to be more
+    than twice as fast: the estimates leave out numpy's import, 0.1-0.15 s
+    in a fresh process, which is more than either kernel takes on a
+    constructed code of a few hundred words.  The BLAS kernel is estimated
+    at most 1.84 times as fast on the constructed codes that
+    tests/test_verify.py lists (at most r stars per word), and at least 2.6
+    times on random codes of 150 words or more (about n/3 stars per word).
+
+    Row i costs the BLAS kernel (m - 1 - i)^2 * n multiply-adds and the star
+    kernel m - 1 - i pairs, so dealing the rows round-robin gives every part
+    the mean share of either kernel's work to within the first row's cost.
+    There are at most min(workers, cpus, m - 2) parts, and one unless each
+    gets _MIN_PROCESS_WORK of the chosen kernel's work.
     """
     # |Z_i| + |Z_j| summed over the pairs i < j is (m - 1) * stars
     star = m * (m - 1) // 2 * _STAR_PAIR_WORK + (m - 1) * stars * (_STAR_LOOKUP_WORK + m)
-    blas = _blas_work(m, n) + m * _BLAS_ROW_WORK + m * m * n * _BLAS_CELL_WORK
-    return (_scan_stars, star) if star <= 2 * blas else (_scan_words, blas)
-
-
-def _blas_work(m: int, n: int) -> int:
-    """Multiply-adds of the BLAS kernel's products on m words of length n.
-
-    Row i costs (m - 1 - i)^2 * n; the sum over the rows is
-    ((m - 1) m (2m - 1) / 6 - 1) * n, and 0 when there are none.
-    """
-    return max(0, ((m - 1) * m * (2 * m - 1) // 6 - 1) * n)
-
-
-def _scan_parts(m: int, n: int, workers: int, cpus: int, work: int | None = None) -> int:
-    """How many processes share a scan of the rows i in [0, m - 2).
-
-    Part p scans rows p, p + parts, p + 2 parts, ...  Row i costs the BLAS
-    kernel (m - 1 - i)^2 * n multiply-adds and the star kernel m - 1 - i
-    pairs, so for either this round-robin deal gives every part the mean
-    share to within the first row's cost.  `work` is the chosen kernel's
-    work (_scan_plan), by default the BLAS kernel's multiply-adds.
-    There are at most min(workers, cpus, m - 2) parts, and one unless each
-    gets _MIN_PROCESS_WORK.
-    """
-    if work is None:
-        work = _blas_work(m, n)
-    return max(1, min(workers, cpus, m - 2, work // _MIN_PROCESS_WORK))
+    # the products' multiply-adds, (m - 1 - i)^2 * n summed over the rows i
+    products = max(0, ((m - 1) * m * (2 * m - 1) // 6 - 1) * n)
+    blas = products + m * _BLAS_ROW_WORK + m * m * n * _BLAS_CELL_WORK
+    kernel, work = (_scan_stars, star) if star <= 2 * blas else (_scan_rows, blas)
+    return kernel, max(1, min(workers, cpus, m - 2, work // _MIN_PROCESS_WORK))
 
 
 def _pin_blas_threads() -> None:
@@ -599,24 +578,27 @@ def _start_scan_worker() -> None:
 def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
     """Check every codeword triple; codes of size at most 2 pass vacuously.
 
-    _scan_plan picks the kernel: the star kernel (_scan_stars) for codes
-    whose words hold their coordinates' rarest symbols seldom, the BLAS
-    kernel (_scan_rows) for dense ones.  Either keeps memory at O(m*n + m^2)
-    for m words of length n.  With workers > 1 the rows are dealt
-    round-robin to at most min(workers, cpu count) processes (_scan_parts);
-    small scans stay in this process.  Each part yields its first witness,
-    and the smallest of them is the lexicographically smallest violating
-    index triple into the sorted codeword list, whatever the kernel or the
+    _scan_plan picks the kernel, the star kernel (_scan_stars) for codes
+    whose words hold their coordinates' rarest symbols seldom and the BLAS
+    kernel (_scan_rows) for dense ones, and how many processes share the
+    scan: at most one per CPU this process may run on, and only one for a
+    small scan.  Either kernel keeps memory at O(m*n + m^2) for m words of
+    length n.  One process scans every row; of k processes, process p scans
+    rows p, p + k, p + 2k, ...  Each yields its first witness, and the
+    smallest of them is the lexicographically smallest violating index
+    triple into the sorted codeword list, whatever the kernel or the
     worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     m, n = len(code), code.n
     joined = "".join(code.strings())
-    kernel, work = _scan_plan(m, n, sum(map(min, _column_counts(joined, n))))
-    parts = _scan_parts(m, n, workers, os.cpu_count() or 1, work)
+    # the CPUs this process may run on, which taskset can make fewer than
+    # the machine has
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    kernel, parts = _scan_plan(m, n, sum(map(min, _column_counts(joined, n))), workers, cpus)
     if parts == 1:
-        found = [kernel(joined, n, 0, 1)]
+        found = [kernel(joined, n, range(m - 2))]
     else:
         # the pool's modules cost every CLI start ~15 ms, so import on use
         from concurrent.futures import ProcessPoolExecutor
@@ -625,7 +607,7 @@ def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
         # process never loads numpy, whose idle BLAS threads would spin on
         # their cores
         with ProcessPoolExecutor(max_workers=parts, initializer=_start_scan_worker) as pool:
-            scans = [pool.submit(kernel, joined, n, p, parts) for p in range(parts)]
+            scans = [pool.submit(kernel, joined, n, range(p, m - 2, parts)) for p in range(parts)]
             found = [scan.result() for scan in scans]
     witness = min((t for t in found if t is not None), default=None)
     return VerificationResult(TRIFFERENT if witness is None else NOT_TRIFFERENT, witness)

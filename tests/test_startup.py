@@ -15,9 +15,9 @@ import pytest
 
 import trifference
 from trifference.constructions import one_bounded, triple_construction
-from trifference.core import Code, _scan_parts, write_triff
+from trifference.core import Code, _scan_stars, write_triff
 
-from test_verify import plant_violation
+from test_verify import plan_of, plant_violation
 
 SRC = str(Path(trifference.__file__).resolve().parents[1])
 WATCHED = (
@@ -186,12 +186,16 @@ def test_small_codes_verify_without_numpy(tmp_path):
     assert "numpy" not in out["loaded"]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="fans out only on 2 or more CPUs")
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1) < 2,
+    reason="fans out only on 2 or more CPUs",
+)
 def test_verify_fan_out_parent_loads_no_numpy(tmp_path):
     # the benchmark's subset size: the scan splits over two processes
     words = random.Random(0).sample(triple_construction(11, one_bounded(66)).strings(), 500)
-    write_triff(Code.from_strings(words), tmp_path / "c.triff")
-    assert _scan_parts(500, 198, 2, 2) == 2
+    code = Code.from_strings(words)
+    write_triff(code, tmp_path / "c.triff")
+    assert plan_of(code, 2, 2) == (_scan_stars, 2)
     out = loaded_after([["verify", "c.triff", "--workers", "2"]], tmp_path)
     assert out["rcs"] == [0]
     assert "numpy" not in out["loaded"]

@@ -1,7 +1,9 @@
 """The verifier's two triple-scan kernels against a brute-force reference, its kernel choice, and its round-robin split."""
 
+import concurrent.futures
 import contextlib
 import itertools
+import os
 import random
 from unittest import mock
 
@@ -15,12 +17,9 @@ from trifference.constructions import one_bounded, recursive_construction, tripl
 from trifference.core import (
     Code,
     _column_counts,
-    _scan_parts,
     _scan_plan,
     _scan_rows,
     _scan_stars,
-    _scan_words,
-    _symbol_matrix,
     naive_trifferent_triple,
     verify_trifferent,
     write_triff,
@@ -58,8 +57,10 @@ def test_row_scan_matches_brute_force(code, block, step):
     m = len(code)
     if m <= 2:
         return
-    U = _symbol_matrix(code.strings(), code.n)
-    found = {first: _scan_rows(U, first, step, block) for first in range(step)}
+    words = "".join(code.strings())
+    found = {
+        first: _scan_rows(words, code.n, range(first, m - 2, step), block) for first in range(step)
+    }
     assert all(w[0] % step == first for first, w in found.items() if w)
     assert min(filter(None, found.values()), default=None) == brute_witness(code)
 
@@ -86,8 +87,8 @@ def tied_codes(draw):
 @given(st.one_of(small_codes(), tied_codes()), st.integers(1, 4), st.sampled_from([0, None, 10**9]))
 def test_star_scan_matches_brute_force(code, step, few):
     # few = 0 tests every candidate through the byte tables, 10**9 one by one
-    words = "".join(code.strings())
-    found = {first: _scan_stars(words, code.n, first, step, few) for first in range(step)}
+    words, m = "".join(code.strings()), len(code)
+    found = {first: _scan_stars(words, code.n, range(first, m - 2, step), few) for first in range(step)}
     assert all(w[0] % step == first for first, w in found.items() if w)
     assert min(filter(None, found.values()), default=None) == brute_witness(code)
 
@@ -95,8 +96,8 @@ def test_star_scan_matches_brute_force(code, step, few):
 @contextlib.contextmanager
 def forced(kernel):
     """verify_trifferent scans with this kernel, and splits even the smallest scan."""
-    with mock.patch.object(core, "_scan_plan", lambda m, n, stars: (kernel, m)), mock.patch.object(
-        core, "_MIN_PROCESS_WORK", 1
+    with mock.patch.object(
+        core, "_scan_plan", lambda m, n, stars, workers, cpus: (kernel, max(1, min(workers, m - 2)))
     ):
         yield
 
@@ -105,7 +106,7 @@ def forced(kernel):
 @given(small_codes())
 def test_verify_matches_brute_force_for_any_worker_count(code):
     want = brute_witness(code)
-    for kernel in (_scan_stars, _scan_words):
+    for kernel in (_scan_stars, _scan_rows):
         with forced(kernel):
             for workers in (1, 2, 3):
                 assert verify_trifferent(code, workers=workers).witness == want
@@ -132,13 +133,14 @@ def random_codes(draw):
 @example(one_bounded(21))
 @example(Code.from_strings([*one_bounded(21).strings(), "1" * 21]))  # not trifferent
 def test_star_kernel_matches_the_blas_scan(code):
-    scan = _scan_rows(_symbol_matrix(code.strings(), code.n), 0, 1)
-    assert _scan_stars("".join(code.strings()), code.n, 0, 1) == scan
+    words, rows = "".join(code.strings()), range(len(code) - 2)
+    scan = _scan_rows(words, code.n, rows)
+    assert _scan_stars(words, code.n, rows) == scan
     result = verify_trifferent(code)  # the kernel _scan_plan picks
     assert result.witness == scan
     assert result.ok == (scan is None)
     assert verify_trifferent(code, workers=2) == result
-    for kernel in (_scan_stars, _scan_words):
+    for kernel in (_scan_stars, _scan_rows):
         with forced(kernel):
             for workers in (1, 2):
                 assert verify_trifferent(code, workers=workers) == result
@@ -153,12 +155,18 @@ def dense_code(m: int, n: int, seed: int) -> Code:
     return Code.from_strings(sorted(words))
 
 
+def plan_of(code: Code, workers: int = 1, cpus: int = 1):
+    """The kernel and the process count that verify_trifferent takes for code."""
+    stars = sum(map(min, _column_counts("".join(code.strings()), code.n)))
+    return _scan_plan(len(code), code.n, stars, workers, cpus)
+
+
 def test_dense_code_gives_one_witness_through_both_kernels():
     code = dense_code(200, 50, 14)
-    want = _scan_rows(_symbol_matrix(code.strings(), code.n), 0, 1)
+    want = _scan_rows("".join(code.strings()), code.n, range(len(code) - 2))
     assert want is not None and want[0] > 10  # not the first rows
-    assert _scan_plan(200, 50, sum(map(min, _column_counts("".join(code.strings()), 50))))[0] is _scan_words
-    for kernel in (_scan_stars, _scan_words):
+    assert plan_of(code)[0] is _scan_rows
+    for kernel in (_scan_stars, _scan_rows):
         with forced(kernel):
             for workers in (1, 2, 3):
                 assert verify_trifferent(code, workers=workers).witness == want
@@ -203,26 +211,22 @@ def row_work(m, rows):
     return sum((m - 1 - i) ** 2 for i in rows)
 
 
-def plan_of(code: Code):
-    return _scan_plan(len(code), code.n, sum(map(min, _column_counts("".join(code.strings()), code.n))))[0]
-
-
 def test_constructed_codes_take_the_star_kernel():
     for n in range(1, 121):
-        assert plan_of(one_bounded(n)) is _scan_stars
+        assert plan_of(one_bounded(n))[0] is _scan_stars
     for q in (2, 3, 5, 7, 11):
         code = triple_construction(q, one_bounded((q * q + q + 1) // 2))
-        assert plan_of(code) is _scan_stars
+        assert plan_of(code)[0] is _scan_stars
         words = random.Random(q).sample(code.strings(), len(code) // 3)
-        assert plan_of(Code.from_strings(words)) is _scan_stars
+        assert plan_of(Code.from_strings(words))[0] is _scan_stars
     for t, target in itertools.product((1, 2, 3), (10, 30, 100, 400)):
-        assert plan_of(recursive_construction(t, target)) is _scan_stars
+        assert plan_of(recursive_construction(t, target))[0] is _scan_stars
 
 
 @pytest.mark.parametrize("m", [200, 300, 500])
 def test_dense_codes_of_200_words_take_blas(m):
     for n in (10, 30, 100, 198):
-        assert plan_of(dense_code(m, n, m + n)) is _scan_words
+        assert plan_of(dense_code(m, n, m + n))[0] is _scan_rows
 
 
 class TestScanPlan:
@@ -233,37 +237,82 @@ class TestScanPlan:
             shares = [row_work(m, range(p, m - 2, parts)) for p in range(parts)]
             assert sum(shares) == row_work(m, range(m - 2)) == (m - 1) * m * (2 * m - 1) // 6 - 1
             assert all(abs(parts * s - sum(shares)) <= parts * (m - 1) ** 2 for s in shares)
-        assert _scan_parts(500, 198, 2, 2) == 2
+        # 500 dense words of length 198 hold up to 198 * 166 stars
+        assert _scan_plan(500, 198, 198 * 166, 2, 2) == (_scan_rows, 2)
 
     def test_pool_is_capped_by_cpus_and_rows(self):
-        assert _scan_parts(500, 198, 1000, 2) == 2
-        assert _scan_parts(500, 198, 3, 64) == 3
-        assert _scan_parts(5, 10**9, 1000, 64) == 3
-        assert _scan_parts(3, 10**9, 4, 4) == 1
-        assert _scan_parts(40, 10**9, 1, 8) == 1
+        assert _scan_plan(500, 198, 198 * 166, 1000, 2) == (_scan_rows, 2)
+        assert _scan_plan(500, 198, 198 * 166, 3, 64) == (_scan_rows, 3)
+        assert _scan_plan(5, 10**9, 10**9, 1000, 64) == (_scan_stars, 3)
+        assert _scan_plan(3, 10**9, 10**9, 4, 4) == (_scan_rows, 1)
+        assert _scan_plan(40, 10**9, 13 * 10**9, 1, 8) == (_scan_rows, 1)
+        q11 = triple_construction(11, one_bounded(66))
+        assert plan_of(q11, 64, 64) == (_scan_stars, 45)
+
+    def test_pool_is_capped_by_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # as under taskset -c 0 on a machine of 64 CPUs
+        def no_pool(*args, **kwargs):
+            raise AssertionError("opened a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(core, "_MIN_PROCESS_WORK", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        code = Code.from_strings([*one_bounded(21).strings(), "1" * 21])
+        want = verify_trifferent(code)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with pytest.raises(AssertionError, match="pool"):
+            verify_trifferent(code, workers=2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert verify_trifferent(code, workers=2) == want
+        # without sched_getaffinity the machine's count is all there is
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert verify_trifferent(code, workers=2) == want
 
     def test_small_scans_stay_serial(self):
-        # the q = 7 triple code with a planted word: ~0.1 s of scanning
-        assert _scan_parts(393, 88, 2, 2) == 1
-        assert _scan_parts(500, 198, 64, 64) == 4
+        # less than 2 * _MIN_PROCESS_WORK of either kernel's work
+        small = [one_bounded(66), one_bounded(120), triple_construction(5, one_bounded(15))]
+        for code in [*small, dense_code(200, 50, 14), dense_code(200, 100, 7)]:
+            assert plan_of(code, 64, 64)[1] == 1
+
+    def test_benchmark_codes_split_in_two(self):
+        # the q = 7 code, planted violations in it and 500-word q = 11
+        # subsets, as perfbench builds them: 3 to 5 times _MIN_PROCESS_WORK
+        # of the star kernel's work
+        q7 = triple_construction(7, one_bounded(28))
+        q11 = triple_construction(11, one_bounded(66))
+        codes = [q7]
+        for seed in (1, 2):
+            codes.append(Code(q11.n, tuple(random.Random(seed).sample(q11.codewords, 500))))
+        for seed, frac in itertools.product((1, 2), (0.1, 0.6)):
+            codes.append(plant_violation(q7, frac, random.Random(seed))[0])
+        assert {(len(code), code.n) for code in codes[3:]} == {(393, 90), (393, 92)}
+        for code in codes:
+            assert plan_of(code, 2, 2) == (_scan_stars, 2)
+            assert plan_of(code, 2, 1) == plan_of(code, 1, 2) == (_scan_stars, 1)
 
     @pytest.mark.parametrize("n", [84, 198])
     def test_plan_matches_the_numpy_plan(self, n):
         np = pytest.importorskip("numpy")
 
         def numpy_plan(m, workers, cpus):
-            # the contiguous split by work as first written, with cumsum and
-            # searchsorted
+            # the contiguous split by the BLAS kernel's work as first written,
+            # with cumsum and searchsorted
             rows = m - 2
             work = np.concatenate(([0], np.cumsum((m - 1 - np.arange(rows)) ** 2)))
-            parts = max(1, min(workers, cpus, rows, int(work[-1]) * n // core._MIN_PROCESS_WORK))
+            total = int(work[-1]) * n + m * core._BLAS_ROW_WORK + m * m * n * core._BLAS_CELL_WORK
+            parts = max(1, min(workers, cpus, rows, total // core._MIN_PROCESS_WORK))
             cuts = np.searchsorted(work, [work[-1] * t // parts for t in range(1, parts)])
             bounds = sorted({0, rows, *(int(c) for c in cuts)})
             return list(zip(bounds, bounds[1:]))
 
         for m in [*range(3, 1453, 13), 393, 500, 1452]:
+            # n * (m // 3) stars, the most m words can hold: dense enough for
+            # BLAS from 55 words on, and below that too small to split
             for workers, cpus in itertools.product(range(1, 5), repeat=2):
-                assert _scan_parts(m, n, workers, cpus) == len(numpy_plan(m, workers, cpus))
+                kernel, parts = _scan_plan(m, n, n * (m // 3), workers, cpus)
+                assert kernel is _scan_rows or m < 55
+                assert parts == len(numpy_plan(m, workers, cpus))
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError):
