@@ -233,12 +233,24 @@ def _cmd_project(args):
     return core.Code(projected.n, projected.codewords, comments=(comment,)), 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given argv, of the one command argv runs.
+
+    Every command is listed with its help text, but with argv only the
+    command named by its first token that does not start with "-" gets its
+    arguments and sub-commands.  The top level's only option, -h, takes no
+    value, so argparse takes that token for the command, unless an earlier
+    one such as "--" or "-5" counts as positional; no command name starts
+    with "-", so parsing then fails at the top level before it reads any
+    command's parser.  Either parser thus prints the same help, errors and
+    results for argv.
+    """
     parser = argparse.ArgumentParser(
         prog="trifference",
         description="Trifferent code constructions, verification, search, and bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = None if argv is None else next((t for t in argv if not t.startswith("-")), None)
     leaves = []
 
     def leaf(subparsers, name, func, **kwargs):
@@ -247,95 +259,96 @@ def build_parser() -> argparse.ArgumentParser:
         leaves.append(p)
         return p
 
-    p = sub.add_parser("construct", help="emit a .triff code")
-    fam = p.add_subparsers(dest="family", required=True)
-    f = leaf(fam, "one-bounded", _cmd_construct)
-    f.add_argument("--n", type=int, required=True)
-    f = leaf(fam, "triple", _cmd_construct)
-    f.add_argument("--q", type=int, required=True)
-    f.add_argument("--base", help="base .triff code (default: a 1-bounded family)")
-    f.add_argument("--sigma-seed", type=int, default=None)
-    f = leaf(fam, "recursive", _cmd_construct)
-    f.add_argument("--t", type=int, required=True)
-    f.add_argument("--target", type=int, required=True)
+    def command(name, help_text, func=None):
+        """The command's parser, a leaf if func is given, or None if argv runs another."""
+        if argv is not None and name != named:
+            sub.add_parser(name, help=help_text)
+            return None
+        return leaf(sub, name, func, help=help_text) if func else sub.add_parser(name, help=help_text)
 
-    p = leaf(
-        sub, "verify", _cmd_verify, help="check trifference, exit 1 with a witness on failure"
-    )
-    p.add_argument("code")
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--json", action="store_true")
+    if p := command("construct", "emit a .triff code"):
+        fam = p.add_subparsers(dest="family", required=True)
+        f = leaf(fam, "one-bounded", _cmd_construct)
+        f.add_argument("--n", type=int, required=True)
+        f = leaf(fam, "triple", _cmd_construct)
+        f.add_argument("--q", type=int, required=True)
+        f.add_argument("--base", help="base .triff code (default: a 1-bounded family)")
+        f.add_argument("--sigma-seed", type=int, default=None)
+        f = leaf(fam, "recursive", _cmd_construct)
+        f.add_argument("--t", type=int, required=True)
+        f.add_argument("--target", type=int, required=True)
 
-    p = sub.add_parser("search", help="exact maximum code search")
-    mode = p.add_subparsers(dest="mode", required=True)
-    m_max = leaf(mode, "max", _cmd_search)
-    m_max.add_argument("--n", type=int, required=True)
-    m_max.add_argument("--budget", type=_positive_int, default=None)
-    m_max.add_argument("--cap", type=int, default=None)
-    m_r = leaf(mode, "max-r", _cmd_search)
-    m_r.add_argument("--n", type=int, required=True)
-    m_r.add_argument("--r", type=int, required=True)
-    m_r.add_argument("--budget", type=_positive_int, default=None)
-    m_r.add_argument("--universe-cap", type=int, default=None)
-    for m in (m_max, m_r):
-        m.add_argument("--no-symmetry", action="store_true")
-        m.add_argument("--bound", choices=["size", "support"], default=None)
-        m.add_argument("--oracle", action="store_true")
-        m.add_argument("--oracle-cap", type=int, default=None)
-        m.add_argument("--table", help="results table JSON to update")
+    if p := command("verify", "check trifference, exit 1 with a witness on failure", _cmd_verify):
+        p.add_argument("code")
+        p.add_argument("--workers", type=_positive_int, default=1)
+        p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("bound", help="bounds and reports")
-    what = p.add_subparsers(dest="what", required=True)
-    w = leaf(what, "report", _cmd_bound)
-    w.add_argument("--n", type=int, required=True)
-    w.add_argument("--exact-table", help="results table JSON from search runs")
-    w.add_argument("--code", action="append", help="rate line for this .triff file")
-    w = leaf(what, "zarankiewicz", _cmd_bound)
-    for name in ("--u", "--v", "--s", "--t"):
-        w.add_argument(name, type=int, required=True)
-    w = leaf(what, "transfer", _cmd_bound)
-    w.add_argument("--n", type=int, required=True)
-    w.add_argument("--r", type=int, required=True)
-    w.add_argument("--tb", type=float, required=True)
-    w = leaf(what, "deficit", _cmd_bound)
-    w.add_argument("--r", type=int, required=True)
-    w.add_argument("--n", type=int, default=None)
-    w.add_argument("--tb", type=float, default=None)
-    w.add_argument("--kind", choices=["exact", "lower", "upper"], default="exact")
+    if p := command("search", "exact maximum code search"):
+        mode = p.add_subparsers(dest="mode", required=True)
+        m_max = leaf(mode, "max", _cmd_search)
+        m_max.add_argument("--n", type=int, required=True)
+        m_max.add_argument("--budget", type=_positive_int, default=None)
+        m_max.add_argument("--cap", type=int, default=None)
+        m_r = leaf(mode, "max-r", _cmd_search)
+        m_r.add_argument("--n", type=int, required=True)
+        m_r.add_argument("--r", type=int, required=True)
+        m_r.add_argument("--budget", type=_positive_int, default=None)
+        m_r.add_argument("--universe-cap", type=int, default=None)
+        for m in (m_max, m_r):
+            m.add_argument("--no-symmetry", action="store_true")
+            m.add_argument("--bound", choices=["size", "support"], default=None)
+            m.add_argument("--oracle", action="store_true")
+            m.add_argument("--oracle-cap", type=int, default=None)
+            m.add_argument("--table", help="results table JSON to update")
 
-    p = sub.add_parser("graph", help="derived graphs and forbidden-subgraph checks")
-    action = p.add_subparsers(dest="action", required=True)
-    graph_input = argparse.ArgumentParser(add_help=False)
-    graph_input.add_argument("code")
-    graph_input.add_argument("--kind", choices=["auto", "r2", "r3"], default="auto")
-    a = leaf(action, "build", _cmd_graph, parents=[graph_input])
-    a.add_argument("--edges", help="write the edge list to this file")
-    a = leaf(action, "kst-check", _cmd_graph, parents=[graph_input])
-    a.add_argument("--s", type=int, required=True)
-    a.add_argument("--t", type=int, required=True)
-    a = leaf(action, "bipartition", _cmd_graph, parents=[graph_input])
-    a.add_argument("--seed", type=int, default=None)
-    a.add_argument("--trials", type=int, default=1000)
-    a.add_argument("--exhaustive", action="store_true")
+    if p := command("bound", "bounds and reports"):
+        what = p.add_subparsers(dest="what", required=True)
+        w = leaf(what, "report", _cmd_bound)
+        w.add_argument("--n", type=int, required=True)
+        w.add_argument("--exact-table", help="results table JSON from search runs")
+        w.add_argument("--code", action="append", help="rate line for this .triff file")
+        w = leaf(what, "zarankiewicz", _cmd_bound)
+        for name in ("--u", "--v", "--s", "--t"):
+            w.add_argument(name, type=int, required=True)
+        w = leaf(what, "transfer", _cmd_bound)
+        w.add_argument("--n", type=int, required=True)
+        w.add_argument("--r", type=int, required=True)
+        w.add_argument("--tb", type=float, required=True)
+        w = leaf(what, "deficit", _cmd_bound)
+        w.add_argument("--r", type=int, required=True)
+        w.add_argument("--n", type=int, default=None)
+        w.add_argument("--tb", type=float, default=None)
+        w.add_argument("--kind", choices=["exact", "lower", "upper"], default="exact")
 
-    p = leaf(
-        sub, "sample-shift", _cmd_sample_shift, help="density of shifted codes in the r-layer"
-    )
-    p.add_argument("code")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--exhaustive", action="store_true")
+    if p := command("graph", "derived graphs and forbidden-subgraph checks"):
+        action = p.add_subparsers(dest="action", required=True)
+        graph_input = argparse.ArgumentParser(add_help=False)
+        graph_input.add_argument("code")
+        graph_input.add_argument("--kind", choices=["auto", "r2", "r3"], default="auto")
+        a = leaf(action, "build", _cmd_graph, parents=[graph_input])
+        a.add_argument("--edges", help="write the edge list to this file")
+        a = leaf(action, "kst-check", _cmd_graph, parents=[graph_input])
+        a.add_argument("--s", type=int, required=True)
+        a.add_argument("--t", type=int, required=True)
+        a = leaf(action, "bipartition", _cmd_graph, parents=[graph_input])
+        a.add_argument("--seed", type=int, default=None)
+        a.add_argument("--trials", type=int, default=1000)
+        a.add_argument("--exhaustive", action="store_true")
 
-    p = leaf(sub, "prune", _cmd_prune, help="coordinate pruning chain sizes")
-    p.add_argument("code")
+    if p := command("sample-shift", "density of shifted codes in the r-layer", _cmd_sample_shift):
+        p.add_argument("code")
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--trials", type=int, default=10000)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--exhaustive", action="store_true")
 
-    p = leaf(
-        sub, "project", _cmd_project, help="restrict to 2-at-i codewords, drop coordinate i"
-    )
-    p.add_argument("code")
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--best", action="store_true")
+    if p := command("prune", "coordinate pruning chain sizes", _cmd_prune):
+        p.add_argument("code")
+
+    if p := command("project", "restrict to 2-at-i codewords, drop coordinate i", _cmd_project):
+        p.add_argument("code")
+        p.add_argument("--i", type=int, default=None)
+        p.add_argument("--best", action="store_true")
 
     # last, so every usage line ends with it
     for p in leaves:
@@ -345,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Parse argv, run its handler, write the rendered body to -o or stdout, then side files."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

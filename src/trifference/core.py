@@ -21,7 +21,14 @@ inside shift sampling, so a command that runs neither (verifying a sparse
 code, a bound, prune, project or graph) starts without them.  Both kernels
 scan the rows they are handed; verify_trifferent hands one process every
 row, or deals them round-robin to worker processes, and then loads numpy,
-if at all, only in the workers.
+if at all, only in the workers.  It opens a pool only for a scan long enough
+to repay the pool's start-up, so codes the size of the q = 7 code, and early
+violations in them, are scanned in one process whatever --workers says.
+
+Sampled shift vectors are drawn from the Mersenne Twister 64 bits per
+symbol at a time and turned into symbols with numpy, giving exactly the
+symbols, and leaving the generator in exactly the state, of one
+random.choices draw per symbol (_sampled_shifts).
 """
 
 from __future__ import annotations
@@ -504,11 +511,13 @@ _BLAS_CELL_WORK = 320
 _STAR_PAIR_WORK = 57_000
 _STAR_LOOKUP_WORK = 3_300
 
-# Starting a worker process costs tens of milliseconds, and a BLAS worker
-# pays its own numpy import (about 50 ms), so each must get at least this
-# much scan work (about 0.04 s of scanning where the costs were fitted);
-# below that, fewer processes finish sooner.
-_MIN_PROCESS_WORK = 2 * 10**9
+# The pool's start-up in work units: importing concurrent.futures, forking
+# the workers, each rebuilding its bitsets or symbol matrices, and shutting
+# them down take 50-60 ms in a fresh CLI process, about 4 * 10**9 units at
+# the 13-14 ps per unit that the star kernel runs at on the 2-vCPU Xeon.
+# work // _MIN_PROCESS_WORK processes are opened, so a second one only when
+# the half of the scan it takes over outweighs the start-up.
+_MIN_PROCESS_WORK = 4 * 10**9
 
 
 def _scan_plan(m: int, n: int, stars: int, workers: int, cpus: int) -> tuple[Callable, int]:
@@ -526,7 +535,9 @@ def _scan_plan(m: int, n: int, stars: int, workers: int, cpus: int) -> tuple[Cal
     kernel m - 1 - i pairs, so dealing the rows round-robin gives every part
     the mean share of either kernel's work to within the first row's cost.
     There are at most min(workers, cpus, m - 2) parts, and one unless each
-    gets _MIN_PROCESS_WORK of the chosen kernel's work.
+    gets _MIN_PROCESS_WORK of the chosen kernel's work, the pool's start-up:
+    the q = 7 code and codes of its size scan in one process, a 500-word
+    subset of the q = 11 code in two.
     """
     # |Z_i| + |Z_j| summed over the pairs i < j is (m - 1) * stars
     star = m * (m - 1) // 2 * _STAR_PAIR_WORK + (m - 1) * stars * (_STAR_LOOKUP_WORK + m)
@@ -647,11 +658,34 @@ _SHIFT_BLOCK = 1024
 
 
 def _sampled_shifts(n: int, trials: int, rng: Random):
-    """Seeded shift vectors as uint8 symbol blocks, drawn in trial order."""
+    """Seeded shift vectors as uint8 symbol blocks, drawn in trial order.
+
+    The symbols are exactly those of rng.choices("012", k=trials * n), and
+    rng is left in the same state.  choices draws each symbol as
+    floor(random() * 3.0), and random() takes the next two 32-bit outputs a
+    and b of the Mersenne Twister and returns
+    ((a >> 5) * 2**26 + (b >> 6)) * 2**-53.  rng.getrandbits(64 * t) takes
+    the same 2t outputs in the same order and puts the first in the least
+    significant 32 bits, so its little-endian bytes are a and b of each of t
+    symbols in turn.  The same float64 operations, in the same order, then
+    give the same symbols.  The integer form (3 * N) >> 53 of the floor is
+    not the same: at N = (2**54 - 1) / 3 the float product rounds up to 2.0.
+
+    At most 128 rows are drawn at a time, which keeps the draw's temporaries
+    to a few hundred kB.
+    """
+    import numpy as np
+
     for done in range(0, trials, _SHIFT_BLOCK):
-        k = min(_SHIFT_BLOCK, trials - done)
-        # one call of k * n draws yields exactly what k calls of n draws do
-        yield _symbol_matrix(["".join(rng.choices("012", k=k * n))], n)
+        size = min(_SHIFT_BLOCK, trials - done) * n
+        block = np.empty(size, dtype=np.uint8)
+        for start in range(0, size, 128 * n):
+            t = min(128 * n, size - start)
+            draws = rng.getrandbits(64 * t).to_bytes(8 * t, "little")
+            a, b = np.frombuffer(draws, dtype="<u4").reshape(t, 2).T
+            # the float-to-uint8 cast truncates, which is the floor here
+            block[start : start + t] = ((a >> 5) * 67108864.0 + (b >> 6)) * 2.0**-53 * 3.0
+        yield block.reshape(-1, n)
 
 
 def _all_shifts(n: int):

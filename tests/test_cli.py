@@ -1,10 +1,12 @@
+import hashlib
 import json
 import math
+import sys
 
 import pytest
 
 from trifference import search
-from trifference.cli import run
+from trifference.cli import build_parser, run
 from trifference.core import read_triff
 
 
@@ -538,3 +540,61 @@ def test_side_file_waits_for_the_output(tmp_path, monkeypatch, capsys, argv):
     assert not (tmp_path / "side.file").exists()
     assert run(argv + ["-o", "x.json"]) == 0
     assert (tmp_path / "side.file").exists()
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) for each argv: the 21
+# --help texts and seven usage errors, recorded at 80 columns under Python
+# 3.11.7 from the parser that built every command's subtree.  argparse's
+# wording changes between Python releases, so elsewhere only the lazily
+# built parser's output is compared with the full parser's.
+PARSER_DIGESTS = {
+    "--help": "f58bbd11c86dc437d1339729ac60d4e41e2596812124ca4b9294cbed312d4cce",
+    "construct --help": "8fd686fad2cc0c956640cb5c4f5511ad3a4828a2c81fc7337cd0c98cd7b4682c",
+    "construct one-bounded --help": "005b0d83281252515c4105f86de8ac5dd6ffac2fce956d9d19be123eb7dc2e5d",
+    "construct triple --help": "278c6b402f6d1518d536c81a7753f64eb2ad52b0558ba345fcac583df2b73146",
+    "construct recursive --help": "77e2bef4065a37eb18e74a83c82234e59d1a135f353466d38876de8b0a85d4d4",
+    "verify --help": "8224cad3fe41fb26fc6d3f23dae03f66ce8a98c4ad8067a583b57667687c12ff",
+    "search --help": "d399c1a25176b89201cfe66feaf54865c76670b9d8bf4ec2a9dec1508ae48660",
+    "search max --help": "89c4a2deffc741a764027f88e326898bef721c0309a143bed6cb37c6c9b2856b",
+    "search max-r --help": "8d7812c62b585f88bc18359ebeb932b3d3e1228013f401db914b0b6aa8b0074f",
+    "bound --help": "04a90fd6c61b0190e2b1e2275876072112e1c7cfaa9dd0d3181f0211cfca8ce5",
+    "bound report --help": "089556efd1317f34e6c6448f2213c3c43a1a2a6297a0661910d5f578f12d874d",
+    "bound zarankiewicz --help": "468b1272c582d5cc020954543006753db9b215f913c37a80358afb7114ff10aa",
+    "bound transfer --help": "b49e914cdb400339d4e47cab09fd91bc3f5827b025c767605b7464f73f3fd3d1",
+    "bound deficit --help": "ab5378193096f58b8a34d9f5d26cd050b659b1254fa35494d3982577901e4980",
+    "graph --help": "ec3ede19a26e5ffd307c75632ab8eed9a01085e1cfed221422338ab810cb4216",
+    "graph build --help": "f7335cc2258f13df33f5967f32ccb345ef0e1a14bf4e651e7eb21cfe636d3c37",
+    "graph kst-check --help": "ba76af5df76ed862be77fcdf7698d5518fb1209c43fc8e7c152ed10ae56c3fb0",
+    "graph bipartition --help": "57a32682ea2603b16a5b617d1658c149c64c2859c28c9a7ac8caca8c15882e3a",
+    "sample-shift --help": "336c4b18290d9abbe04422ebe0888c1eff5ba5f9e4639f4c47f74afe3165a579",
+    "prune --help": "5c77660675e50bc0e194ab0095826303ff0b9889a592ceac02fa2b44ba20f67e",
+    "project --help": "25d323d5dbdeb6f2b54427c5c61be2e199882b4cf6e1bef9e98185088f28adf0",
+    "": "733875e377538fcca8a02f54bd888d1cf1b1e6148595b04c344f3fba9bfb54b2",
+    "bogus": "11ec1feac17af83004222daa01de2f0f257c68bb48f6f5d60e6a4cc588324539",
+    "search bogus": "28a153070d5c9b6b761922249efd6cdf5007d4ba922e93ade9d821fd06513847",
+    "verify": "69f8830a58aef201bed90a00af1bdaadbb2adc4f102945e8e99c84cc6b414957",
+    "--foo verify c.triff": "644efb4ce5bb39cf6eb8c965537515bab8e744dd3c1e0f80e58149e18d3e278b",
+    "-- verify c.triff": "58d86c1f3d04d60fbedee6ac2f661031e6c17e0f9b916c3970756c6e1e716ef6",
+    "search max": "d1f81f52a24fc1618d0588979ee789073e41ea3a86e9c871d596ba63ee898b61",
+}
+
+
+def parser_outcome(parse, argv, capsys) -> str:
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    out, err = capsys.readouterr()
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [a.split() for a in PARSER_DIGESTS], ids=[a or "(none)" for a in PARSER_DIGESTS])
+def test_help_and_usage_errors_are_unchanged(tmp_path, monkeypatch, capsys, argv):
+    # run builds only the subtree of the command argv names
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("LINES", "24")
+    lazy = parser_outcome(run, argv, capsys)
+    assert lazy == parser_outcome(lambda a: build_parser().parse_args(a), argv, capsys)
+    if sys.version_info[:3] == (3, 11, 7):
+        assert lazy == PARSER_DIGESTS[" ".join(argv)]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trifference.core import (
+    _SHIFT_BLOCK,
+    _sampled_shifts,
     NOT_TRIFFERENT,
     Code,
     Codeword,
@@ -285,6 +288,43 @@ class TestShiftDensity:
     def test_rejects_non_trifferent_input(self):
         with pytest.raises(NotTrifferentError):
             shift_density_sample(code_of("00", "01", "10"), r=1, exhaustive=True)
+
+
+def choices_shifts(n: int, trials: int, rng: random.Random):
+    """The shift vectors as first drawn: random.choices, one draw per symbol."""
+    for done in range(0, trials, _SHIFT_BLOCK):
+        k = min(_SHIFT_BLOCK, trials - done)
+        symbols = "".join(rng.choices("012", k=k * n)).encode("ascii")
+        yield np.frombuffer(symbols, dtype=np.uint8).reshape(k, n) - ord("0")
+
+
+class TestSampledShifts:
+    @pytest.mark.parametrize("seed", [0, 11, 2**70 + 5])
+    @pytest.mark.parametrize("n", [1, 7, 84])
+    def test_same_stream_as_choices(self, seed, n):
+        # trials at and either side of the 128-row draw and of _SHIFT_BLOCK
+        for trials in (127, 128, 129, _SHIFT_BLOCK - 1, _SHIFT_BLOCK, _SHIFT_BLOCK + 1, 2500):
+            bulk, single = random.Random(seed), random.Random(seed)
+            got = list(_sampled_shifts(n, trials, bulk))
+            want = list(choices_shifts(n, trials, single))
+            assert [b.shape for b in got] == [b.shape for b in want]
+            for block, expected in zip(got, want):
+                assert block.dtype == np.uint8
+                assert np.array_equal(block, expected)
+            assert bulk.getstate() == single.getstate()
+
+    def test_float_product_rounds_as_random_does(self):
+        # N = (2**54 - 1) / 3 gives random() * 3.0 == 2.0 exactly, where the
+        # integer form (3 * N) >> 53 says 1
+        N = (2**54 - 1) // 3
+        assert math.floor(N * 2.0**-53 * 3.0) == 2 and (3 * N) >> 53 == 1
+        a, b = (N >> 26) << 5, (N & (2**26 - 1)) << 6
+
+        class Fixed(random.Random):
+            def getrandbits(self, k):
+                return int.from_bytes((a | b << 32).to_bytes(8, "little") * (k // 64), "little")
+
+        assert np.array_equal(next(_sampled_shifts(3, 2, Fixed())), [[2, 2, 2], [2, 2, 2]])
 
 
 class TestPrune:

@@ -22,6 +22,8 @@ from test_verify import plan_of, plant_violation
 SRC = str(Path(trifference.__file__).resolve().parents[1])
 WATCHED = (
     "numpy",
+    "numpy.random",
+    "concurrent.futures",
     "ctypes",
     "hashlib",
     "fractions",
@@ -184,6 +186,21 @@ def test_small_codes_verify_without_numpy(tmp_path):
     )
     assert out["rcs"] == [0, 0, 0]
     assert "numpy" not in out["loaded"]
+
+
+def test_sample_shift_loads_no_numpy_random(tmp_path):
+    write_triff(triple_construction(5, one_bounded(15)), tmp_path / "c.triff")
+    out = loaded_after([["sample-shift", "c.triff", "--r", "3", "--trials", "300", "--seed", "5"]], tmp_path)
+    assert out["rcs"] == [0]
+    assert "numpy" in out["loaded"] and "numpy.random" not in out["loaded"]
+
+
+def test_early_violation_opens_no_pool(tmp_path):
+    # a planted q = 7 code is too short a scan to repay a pool's start-up
+    q7 = triple_construction(7, one_bounded(28))
+    write_triff(plant_violation(q7, 0.1, random.Random(1))[0], tmp_path / "planted.triff")
+    out = loaded_after([["verify", "planted.triff", "--workers", "2"]], tmp_path)
+    assert out == {"rcs": [1], "loaded": []}
 
 
 @pytest.mark.skipif(

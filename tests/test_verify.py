@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import itertools
+import json
 import os
 import random
 from unittest import mock
@@ -247,7 +248,7 @@ class TestScanPlan:
         assert _scan_plan(3, 10**9, 10**9, 4, 4) == (_scan_rows, 1)
         assert _scan_plan(40, 10**9, 13 * 10**9, 1, 8) == (_scan_rows, 1)
         q11 = triple_construction(11, one_bounded(66))
-        assert plan_of(q11, 64, 64) == (_scan_stars, 45)
+        assert plan_of(q11, 64, 64) == (_scan_stars, 22)
 
     def test_pool_is_capped_by_the_cpus_this_process_may_run_on(self, monkeypatch):
         # as under taskset -c 0 on a machine of 64 CPUs
@@ -275,21 +276,38 @@ class TestScanPlan:
         for code in [*small, dense_code(200, 50, 14), dense_code(200, 100, 7)]:
             assert plan_of(code, 64, 64)[1] == 1
 
-    def test_benchmark_codes_split_in_two(self):
-        # the q = 7 code, planted violations in it and 500-word q = 11
-        # subsets, as perfbench builds them: 3 to 5 times _MIN_PROCESS_WORK
-        # of the star kernel's work
+    def test_only_the_benchmark_subset_repays_a_pool(self):
+        # the codes perfbench verifies: the q = 7 code and planted violations
+        # in it (about 1.5 times _MIN_PROCESS_WORK of the star kernel's work)
+        # scan in one process, 500-word q = 11 subsets (about 2.5 times) in two
         q7 = triple_construction(7, one_bounded(28))
         q11 = triple_construction(11, one_bounded(66))
-        codes = [q7]
-        for seed in (1, 2):
-            codes.append(Code(q11.n, tuple(random.Random(seed).sample(q11.codewords, 500))))
-        for seed, frac in itertools.product((1, 2), (0.1, 0.6)):
-            codes.append(plant_violation(q7, frac, random.Random(seed))[0])
-        assert {(len(code), code.n) for code in codes[3:]} == {(393, 90), (393, 92)}
-        for code in codes:
+        subsets = [Code(q11.n, tuple(random.Random(seed).sample(q11.codewords, 500))) for seed in (1, 2)]
+        planted = [
+            plant_violation(q7, frac, random.Random(seed))[0]
+            for seed, frac in itertools.product((1, 2), (0.1, 0.6))
+        ]
+        assert {(len(code), code.n) for code in planted} == {(393, 90), (393, 92)}
+        for code in subsets:
             assert plan_of(code, 2, 2) == (_scan_stars, 2)
+        for code in [q7, *planted]:
+            assert plan_of(code, 2, 2) == (_scan_stars, 1)
+        for code in [q7, *planted, *subsets]:
             assert plan_of(code, 2, 1) == plan_of(code, 1, 2) == (_scan_stars, 1)
+
+    def test_early_violation_opens_no_pool(self, tmp_path, monkeypatch, capsys):
+        # perfbench's planted-early code at --workers 2 on two CPUs
+        def no_pool(*args, **kwargs):
+            raise AssertionError("opened a process pool")
+
+        q7 = triple_construction(7, one_bounded(28))
+        planted, witness = plant_violation(q7, 0.1, random.Random(1))
+        write_triff(planted, tmp_path / "planted-early.triff")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "planted-early.triff", "--workers", "2", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["witness"] == list(witness)
 
     @pytest.mark.parametrize("n", [84, 198])
     def test_plan_matches_the_numpy_plan(self, n):
