@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import Code
+from .core import Code, NotTrifferentError, verify_trifferent
 
 __all__ = [
     "BoundEntry",
@@ -286,10 +286,16 @@ def bound_report(n: int, exact_tb: dict | None = None, codes=None) -> BoundRepor
 
     exact_tb maps (n, r) to exactly searched layer maxima; matching entries
     get their own transfer lines and win ties against formula bounds.  codes
-    maps labels to Code objects and only contributes rate lines.
+    maps labels to Code objects and only contributes rate lines; each code
+    is verified first, and one that is not trifferent raises
+    NotTrifferentError, since its rate would bound nothing.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    for label, code in (codes or {}).items():
+        result = verify_trifferent(code)
+        if not result.ok:
+            raise NotTrifferentError(f"{label} is not trifferent (witness {result.witness})")
     entries = []
 
     # every entry comes from here: valid when it has a log2 value, its value

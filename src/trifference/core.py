@@ -4,26 +4,23 @@ A code C over {0,1,2} is trifferent when every triple of distinct codewords
 has a coordinate at which the three words take all three symbols.  Codewords
 carry one integer bitmask per symbol.
 
-The verifier has two triple-scan kernels, and one plan (_scan_plan) picks
-the kernel and the number of processes from the code's size, how often its
-words hold each coordinate's rarest symbol, and the CPUs at hand.  The star
-kernel (_scan_stars) works on big-int bitsets: a separating coordinate needs
-one word of the triple on its rarest symbol, so each pair of words is
-checked at those coordinates only.  That suits every code this package
-constructs, whose rarest symbols are rare.  The BLAS kernel (_scan_rows)
-multiplies 0/1 symbol planes as float32 matrices, and wins on dense codes.
-It stays exact: every product term is 0 or 1, so each partial sum is an
-integer no larger than the number of terms, which is kept below 2**24 (see
-_planes).  Shift sampling uses such products too.
+The verifier's triple scan (_scan_stars) works on big-int bitsets: a
+separating coordinate needs one word of the triple on that coordinate's
+rarest symbol, so each pair of words is checked at those coordinates only.
+That suits every code this package constructs, whose rarest symbols are
+rare.  One plan (_scan_plan) picks the number of processes from the code's
+size, how often its words hold each coordinate's rarest symbol, and the
+CPUs at hand.  verify_trifferent hands one process every row, or deals them
+round-robin to worker processes.  It opens a pool only for a scan long
+enough to repay the pool's start-up, so codes the size of the q = 7 code,
+and early violations in them, are scanned in one process whatever --workers
+says.
 
-numpy is imported inside the BLAS kernel and shift sampling, and fractions
-inside shift sampling, so a command that runs neither (verifying a sparse
-code, a bound, prune, project or graph) starts without them.  Both kernels
-scan the rows they are handed; verify_trifferent hands one process every
-row, or deals them round-robin to worker processes, and then loads numpy,
-if at all, only in the workers.  It opens a pool only for a scan long enough
-to repay the pool's start-up, so codes the size of the q = 7 code, and early
-violations in them, are scanned in one process whatever --workers says.
+Shift sampling multiplies 0/1 symbol planes as float32 matrices.  It stays
+exact: every product term is 0 or 1, so each partial sum is an integer no
+larger than the number of terms, which is kept below 2**24 (see _planes).
+numpy is imported inside shift sampling, and fractions too, so every other
+command starts without them.
 
 Sampled shift vectors are drawn from the Mersenne Twister 64 bits per
 symbol at a time and turned into symbols with numpy, giving exactly the
@@ -36,14 +33,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import sys
 from functools import reduce
 from operator import getitem, or_
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
     from fractions import Fraction
 
     import numpy as np
@@ -358,37 +353,6 @@ def _planes(U: np.ndarray, targets) -> np.ndarray:
     return out
 
 
-def _scan_rows(words: str, n: int, rows: range, block: int = 128) -> tuple[int, int, int] | None:
-    """Lex-smallest violating triple (i, j, k) with i in rows, else None.
-
-    The words are joined in one string, each n long, and rows is an
-    increasing range of row indices.  For fixed i, let E and F mark where
-    each later word holds U_i + 1 and U_i + 2 (mod 3), U being the words'
-    symbol matrix.  Then N = E F^T + F E^T counts, for each pair (j, k),
-    the coordinates at which i, j and k show all three symbols, and (i, j, k)
-    violates trifference exactly when N[j, k] = 0.  N is symmetric, so it is
-    built [E F] [F E]^T in row blocks that start at the diagonal and cover
-    the upper triangle.  Rows and blocks go in order, so the first zero found
-    above the diagonal is the lex-smallest witness.
-    """
-    import numpy as np
-
-    U = _symbol_matrix([words], n)
-    for i in rows:
-        later = U[i + 1 :]
-        up1, up2 = (U[i] + 1) % 3, (U[i] + 2) % 3
-        ef, fe = _planes(later, (up1, up2)), _planes(later, (up2, up1))
-        for a in range(0, len(later), block):
-            sep = ef[a : a + block] @ fe[a:].T  # N[a + s, a + t]
-            np.fill_diagonal(sep, 1)  # j = k is not a triple
-            if sep.min() == 0:
-                # a zero below the diagonal mirrors one above it in this block
-                bad = np.triu(sep == 0, 1)
-                s, t = divmod(int(np.argmax(bad)), bad.shape[1])
-                return (i, i + 1 + a + s, i + 1 + a + t)
-    return None
-
-
 def _column_counts(words: str, n: int):
     """For each coordinate, how many of the words hold 0, 1 and 2 there.
 
@@ -404,7 +368,10 @@ def _column_counts(words: str, n: int):
 def _scan_stars(
     words: str, n: int, rows: range, few: int | None = None
 ) -> tuple[int, int, int] | None:
-    """_scan_rows's sparse sibling: the same witness, from big-int bitsets.
+    """Lex-smallest violating triple (i, j, k) with i in rows, else None.
+
+    The words are joined in one string, each n long, and rows is an
+    increasing range of row indices.  The scan works on big-int bitsets.
 
     Let s*(c) be the rarest symbol at coordinate c (the smallest on ties),
     and call c a star of word u when u holds s*(c) there.  Z_u is the set of
@@ -431,10 +398,10 @@ def _scan_stars(
     about where the two tests cost the same.  The tables take about 4 m n
     bytes for m words.
 
-    The pairs make (m - 1) * sum_u |Z_u| lookups in all, against n
-    multiply-adds per triple for the BLAS kernel, so this kernel pays when
-    stars are rare.  A word of an r-bounded code has at most r of them, as no
-    coordinate's rarest symbol is more common there than 2.  Rows, pairs and
+    The pairs make (m - 1) * sum_u |Z_u| lookups in all, so the scan is
+    fastest when stars are rare.  An r-bounded code of m words holds at most
+    r * m of them, as no coordinate's rarest symbol is more common there
+    than 2; a random code holds nearly n / 3 per word.  Rows, pairs and
     candidates go in order, so the first unseparated triple found is the
     lex-smallest with i in rows.
     """
@@ -500,105 +467,46 @@ def _scan_stars(
     return None
 
 
-# The costs of the two kernels, in multiply-adds of the BLAS kernel's
-# products, fitted to full scans of 39 constructed and random codes (16 to
-# 1,452 words, 8 to 200 coordinates) on a 2-vCPU Xeon, where one such
-# multiply-add takes about 19 ps.  The BLAS kernel also pays per row and for
-# building its planes, about m^2 n cells in all; the star kernel pays per
-# pair of words and per star lookup, a little more as the bitsets widen.
-_BLAS_ROW_WORK = 1_550_000
-_BLAS_CELL_WORK = 320
+# The star scan's costs per pair of words and per star lookup (a little
+# more as the bitsets widen), in work units fitted to full scans of
+# constructed and random codes (16 to 1,452 words, 8 to 200 coordinates) on
+# a 2-vCPU Xeon, where the scan runs at 13-14 ps per unit.
 _STAR_PAIR_WORK = 57_000
 _STAR_LOOKUP_WORK = 3_300
 
 # The pool's start-up in work units: importing concurrent.futures, forking
-# the workers, each rebuilding its bitsets or symbol matrices, and shutting
-# them down take 50-60 ms in a fresh CLI process, about 4 * 10**9 units at
-# the 13-14 ps per unit that the star kernel runs at on the 2-vCPU Xeon.
+# the workers, each rebuilding its bitsets, and shutting them down take
+# 50-60 ms in a fresh CLI process, about 4 * 10**9 units.
 # work // _MIN_PROCESS_WORK processes are opened, so a second one only when
 # the half of the scan it takes over outweighs the start-up.
 _MIN_PROCESS_WORK = 4 * 10**9
 
 
-def _scan_plan(m: int, n: int, stars: int, workers: int, cpus: int) -> tuple[Callable, int]:
-    """The kernel that scans m words of length n, `stars` stars in all, and its process count.
+def _scan_plan(m: int, n: int, stars: int, workers: int, cpus: int) -> int:
+    """How many processes scan m words of length n, `stars` stars in all.
 
-    The star kernel is chosen unless the BLAS kernel is estimated to be more
-    than twice as fast: the estimates leave out numpy's import, 0.1-0.15 s
-    in a fresh process, which is more than either kernel takes on a
-    constructed code of a few hundred words.  The BLAS kernel is estimated
-    at most 1.84 times as fast on the constructed codes that
-    tests/test_verify.py lists (at most r stars per word), and at least 2.6
-    times on random codes of 150 words or more (about n/3 stars per word).
-
-    Row i costs the BLAS kernel (m - 1 - i)^2 * n multiply-adds and the star
-    kernel m - 1 - i pairs, so dealing the rows round-robin gives every part
-    the mean share of either kernel's work to within the first row's cost.
-    There are at most min(workers, cpus, m - 2) parts, and one unless each
-    gets _MIN_PROCESS_WORK of the chosen kernel's work, the pool's start-up:
-    the q = 7 code and codes of its size scan in one process, a 500-word
-    subset of the q = 11 code in two.
+    Row i costs m - 1 - i pairs, so dealing the rows round-robin gives every
+    part the mean share of the work to within the first row's cost.  There
+    are at most min(workers, cpus, m - 2) parts, and one unless each gets
+    _MIN_PROCESS_WORK of the work, the pool's start-up: the q = 7 code and
+    codes of its size scan in one process, a 500-word subset of the q = 11
+    code in two.
     """
     # |Z_i| + |Z_j| summed over the pairs i < j is (m - 1) * stars
-    star = m * (m - 1) // 2 * _STAR_PAIR_WORK + (m - 1) * stars * (_STAR_LOOKUP_WORK + m)
-    # the products' multiply-adds, (m - 1 - i)^2 * n summed over the rows i
-    products = max(0, ((m - 1) * m * (2 * m - 1) // 6 - 1) * n)
-    blas = products + m * _BLAS_ROW_WORK + m * m * n * _BLAS_CELL_WORK
-    kernel, work = (_scan_stars, star) if star <= 2 * blas else (_scan_rows, blas)
-    return kernel, max(1, min(workers, cpus, m - 2, work // _MIN_PROCESS_WORK))
-
-
-def _pin_blas_threads() -> None:
-    """Run the OpenBLAS that numpy loaded with one thread in this process.
-
-    Each worker process already owns a core; BLAS threads on top of the
-    workers would only oversubscribe them.  A worker forked from a process
-    without numpy sets OPENBLAS_NUM_THREADS instead (_start_scan_worker);
-    this is for one forked after numpy was loaded, when that variable comes
-    too late.  Best effort: where the loaded libraries cannot be listed,
-    BLAS keeps its default.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line}
-    except OSError:
-        return
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        # numpy's bundled OpenBLAS, then a system OpenBLAS
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                set_num_threads = getattr(lib, name)
-                set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
-                set_num_threads(1)
-                break
-
-
-def _start_scan_worker() -> None:
-    """Give this worker process one BLAS thread, before or after numpy loads."""
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    if "numpy" in sys.modules:
-        _pin_blas_threads()
+    work = m * (m - 1) // 2 * _STAR_PAIR_WORK + (m - 1) * stars * (_STAR_LOOKUP_WORK + m)
+    return max(1, min(workers, cpus, m - 2, work // _MIN_PROCESS_WORK))
 
 
 def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
     """Check every codeword triple; codes of size at most 2 pass vacuously.
 
-    _scan_plan picks the kernel, the star kernel (_scan_stars) for codes
-    whose words hold their coordinates' rarest symbols seldom and the BLAS
-    kernel (_scan_rows) for dense ones, and how many processes share the
-    scan: at most one per CPU this process may run on, and only one for a
-    small scan.  Either kernel keeps memory at O(m*n + m^2) for m words of
-    length n.  One process scans every row; of k processes, process p scans
-    rows p, p + k, p + 2k, ...  Each yields its first witness, and the
-    smallest of them is the lexicographically smallest violating index
-    triple into the sorted codeword list, whatever the kernel or the
-    worker count.
+    _scan_plan picks how many processes share the star scan (_scan_stars):
+    at most one per CPU this process may run on, and only one for a small
+    scan.  Memory stays at O(m*n + m^2) bits for m words of length n.  One
+    process scans every row; of k processes, process p scans rows p, p + k,
+    p + 2k, ...  Each yields its first witness, and the smallest of them is
+    the lexicographically smallest violating index triple into the sorted
+    codeword list, whatever the worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -607,18 +515,15 @@ def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
     # the CPUs this process may run on, which taskset can make fewer than
     # the machine has
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    kernel, parts = _scan_plan(m, n, sum(map(min, _column_counts(joined, n))), workers, cpus)
+    parts = _scan_plan(m, n, sum(map(min, _column_counts(joined, n))), workers, cpus)
     if parts == 1:
-        found = [kernel(joined, n, range(m - 2))]
+        found = [_scan_stars(joined, n, range(m - 2))]
     else:
         # the pool's modules cost every CLI start ~15 ms, so import on use
         from concurrent.futures import ProcessPoolExecutor
 
-        # the workers build their own bitsets or symbol matrices, so that this
-        # process never loads numpy, whose idle BLAS threads would spin on
-        # their cores
-        with ProcessPoolExecutor(max_workers=parts, initializer=_start_scan_worker) as pool:
-            scans = [pool.submit(kernel, joined, n, range(p, m - 2, parts)) for p in range(parts)]
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            scans = [pool.submit(_scan_stars, joined, n, range(p, m - 2, parts)) for p in range(parts)]
             found = [scan.result() for scan in scans]
     witness = min((t for t in found if t is not None), default=None)
     return VerificationResult(TRIFFERENT if witness is None else NOT_TRIFFERENT, witness)
@@ -888,6 +793,15 @@ def format_triff(code: Code) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_digits(text: str) -> bool:
+    """Whether text is a nonempty run of ASCII digits, which int() reads as written.
+
+    str.isdigit alone also accepts digits such as '²', which int() rejects,
+    and '٣', which it reads as 3.
+    """
+    return text.isascii() and text.isdigit()
+
+
 def parse_triff(text: str) -> Code:
     if not text:
         raise TriffParseError(1, "empty input")
@@ -895,7 +809,7 @@ def parse_triff(text: str) -> Code:
         raise TriffParseError(text.count("\n") + 1, "missing trailing newline")
     lines = text.split("\n")[:-1]
     first = lines[0]
-    if not first.startswith("n=") or not first[2:].isdigit():
+    if not first.startswith("n=") or not _is_digits(first[2:]):
         raise TriffParseError(1, "first line must be 'n=<int>'")
     n = int(first[2:])
     if n < 1:
@@ -917,7 +831,7 @@ def parse_triff(text: str) -> Code:
                 raise TriffParseError(lineno, "r= must precede all codewords")
             if r_declared is not None:
                 raise TriffParseError(lineno, "duplicate r= line")
-            if not line[2:].isdigit():
+            if not _is_digits(line[2:]):
                 raise TriffParseError(lineno, "r= must carry a nonnegative integer")
             r_declared = int(line[2:])
             if r_declared > n:

@@ -70,6 +70,12 @@ class TestConstructAndVerify:
         assert captured.out == ""
         assert captured.err == "error: line 3: codeword symbols must be 0, 1, or 2\n"
 
+    def test_non_ascii_length_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "length.triff"
+        path.write_text("n=\u00b2\n01\n", encoding="utf-8")
+        assert run(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 1: first line must be 'n=<int>'\n"
+
     def test_missing_file(self, tmp_path):
         assert run(["verify", str(tmp_path / "nope.triff")]) == 2
 
@@ -190,6 +196,23 @@ class TestBound:
         capsys.readouterr()
         assert run(["bound", "report", "--n", "4", "--code", str(path)]) == 0
         assert out_json(capsys)["rates"][0]["rate"] == pytest.approx(0.5)
+
+    def test_rate_lines_are_for_verified_codes_only(self, tmp_path, capsys, monkeypatch):
+        # all nine words of length 2 would claim rate log2(9/2)/2 > log2(3/2)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "full2.triff").write_text("n=2\n" + "".join(f"{a}{b}\n" for a in "012" for b in "012"))
+        assert run(["bound", "report", "--n", "2", "--code", "full2.triff"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: full2.triff is not trifferent (witness (0, 1, 3))\n"
+        # a trifferent code keeps its rate line, and the rest of the report
+        run(["construct", "one-bounded", "--n", "6", "-o", "ob6.triff"])
+        assert run(["bound", "report", "--n", "6"]) == 0
+        plain = out_json(capsys)
+        assert run(["bound", "report", "--n", "6", "--code", "ob6.triff"]) == 0
+        with_code = out_json(capsys)
+        assert with_code.pop("config") == {**plain.pop("config"), "code": "['ob6.triff']"}
+        assert with_code == {**plain, "rates": [{"label": "ob6.triff", "rate": math.log2(6) / 6}]}
 
     def test_zarankiewicz(self, capsys):
         assert run(

@@ -415,6 +415,10 @@ class TestTriffFormat:
             ("n=2\n01\n\n10\n", 3),
             ("n=2\n01\nr=1\n", 3),
             ("n=2\nr=1\n01\n", 3),  # declared r contradicts the codeword
+            # digits other than ASCII ones, which int() rejects or reads as 3
+            ("n=\u00b2\n01\n", 1),
+            ("n=\u0663\n012\n", 1),
+            ("n=2\nr=\u00b2\n02\n", 2),
         ]
         for text, lineno in cases:
             with pytest.raises(TriffParseError) as err:

@@ -1,4 +1,4 @@
-"""The verifier's two triple-scan kernels against a brute-force reference, its kernel choice, and its round-robin split."""
+"""The verifier's star scan against a brute-force reference, its process plan, and its round-robin split."""
 
 import concurrent.futures
 import contextlib
@@ -19,7 +19,6 @@ from trifference.core import (
     Code,
     _column_counts,
     _scan_plan,
-    _scan_rows,
     _scan_stars,
     naive_trifferent_triple,
     verify_trifferent,
@@ -48,22 +47,6 @@ def small_codes(draw):
         ).map(lambda pairs: sorted({a + b for a, b in pairs}))
     )
     return Code.from_strings(words, n=n)
-
-
-@settings(max_examples=300, deadline=None)
-@given(small_codes(), st.integers(1, 4), st.integers(1, 4))
-def test_row_scan_matches_brute_force(code, block, step):
-    # rows dealt round-robin over any number of parts, as workers get them,
-    # give one witness
-    m = len(code)
-    if m <= 2:
-        return
-    words = "".join(code.strings())
-    found = {
-        first: _scan_rows(words, code.n, range(first, m - 2, step), block) for first in range(step)
-    }
-    assert all(w[0] % step == first for first, w in found.items() if w)
-    assert min(filter(None, found.values()), default=None) == brute_witness(code)
 
 
 @st.composite
@@ -95,11 +78,9 @@ def test_star_scan_matches_brute_force(code, step, few):
 
 
 @contextlib.contextmanager
-def forced(kernel):
-    """verify_trifferent scans with this kernel, and splits even the smallest scan."""
-    with mock.patch.object(
-        core, "_scan_plan", lambda m, n, stars, workers, cpus: (kernel, max(1, min(workers, m - 2)))
-    ):
+def forced():
+    """verify_trifferent splits even the smallest scan over its workers."""
+    with mock.patch.object(core, "_scan_plan", lambda m, n, stars, workers, cpus: max(1, min(workers, m - 2))):
         yield
 
 
@@ -107,10 +88,9 @@ def forced(kernel):
 @given(small_codes())
 def test_verify_matches_brute_force_for_any_worker_count(code):
     want = brute_witness(code)
-    for kernel in (_scan_stars, _scan_rows):
-        with forced(kernel):
-            for workers in (1, 2, 3):
-                assert verify_trifferent(code, workers=workers).witness == want
+    with forced():
+        for workers in (1, 2, 3):
+            assert verify_trifferent(code, workers=workers).witness == want
 
 
 @st.composite
@@ -133,18 +113,16 @@ def random_codes(draw):
 @example(one_bounded(20))  # trifferent
 @example(one_bounded(21))
 @example(Code.from_strings([*one_bounded(21).strings(), "1" * 21]))  # not trifferent
-def test_star_kernel_matches_the_blas_scan(code):
-    words, rows = "".join(code.strings()), range(len(code) - 2)
-    scan = _scan_rows(words, code.n, rows)
-    assert _scan_stars(words, code.n, rows) == scan
-    result = verify_trifferent(code)  # the kernel _scan_plan picks
-    assert result.witness == scan
-    assert result.ok == (scan is None)
+def test_star_kernel_matches_brute_force_on_larger_codes(code):
+    want = brute_witness(code)
+    assert _scan_stars("".join(code.strings()), code.n, range(len(code) - 2)) == want
+    result = verify_trifferent(code)
+    assert result.witness == want
+    assert result.ok == (want is None)
     assert verify_trifferent(code, workers=2) == result
-    for kernel in (_scan_stars, _scan_rows):
-        with forced(kernel):
-            for workers in (1, 2):
-                assert verify_trifferent(code, workers=workers) == result
+    with forced():
+        for workers in (1, 2):
+            assert verify_trifferent(code, workers=workers) == result
 
 
 def dense_code(m: int, n: int, seed: int) -> Code:
@@ -156,19 +134,21 @@ def dense_code(m: int, n: int, seed: int) -> Code:
     return Code.from_strings(sorted(words))
 
 
+def stars_of(code: Code) -> int:
+    """How many stars the words of code hold in all, as _scan_plan counts them."""
+    return sum(map(min, _column_counts("".join(code.strings()), code.n)))
+
+
 def plan_of(code: Code, workers: int = 1, cpus: int = 1):
     """The kernel and the process count that verify_trifferent takes for code."""
-    stars = sum(map(min, _column_counts("".join(code.strings()), code.n)))
-    return _scan_plan(len(code), code.n, stars, workers, cpus)
+    return _scan_stars, _scan_plan(len(code), code.n, stars_of(code), workers, cpus)
 
 
 def test_dense_code_gives_one_witness_through_both_kernels():
-    code = dense_code(200, 50, 14)
-    want = _scan_rows("".join(code.strings()), code.n, range(len(code) - 2))
-    assert want is not None and want[0] > 10  # not the first rows
-    assert plan_of(code)[0] is _scan_rows
-    for kernel in (_scan_stars, _scan_rows):
-        with forced(kernel):
+    # the witnesses that the BLAS scan, before the star scan became the only
+    # one, gave these codes; the trifferent one is the dense code CI verifies
+    for code, want in [(dense_code(200, 50, 14), (11, 48, 171)), (dense_code(200, 100, 7), None)]:
+        with forced():
             for workers in (1, 2, 3):
                 assert verify_trifferent(code, workers=workers).witness == want
 
@@ -208,45 +188,47 @@ def test_planted_violation_keeps_its_witness(frac, monkeypatch):
     assert not naive_trifferent_triple(*(planted.codewords[i] for i in witness))
 
 
-def row_work(m, rows):
-    return sum((m - 1 - i) ** 2 for i in rows)
+def row_work(m, rows, power):
+    """Pairs (power 1) or triples, about (power 2), that the rows start."""
+    return sum((m - 1 - i) ** power for i in rows)
 
 
 def test_constructed_codes_take_the_star_kernel():
+    # the star scan's lookups grow with the stars, and an r-bounded code
+    # holds at most r of them per word on average, where a random code holds
+    # nearly n / 3
     for n in range(1, 121):
-        assert plan_of(one_bounded(n))[0] is _scan_stars
+        assert stars_of(one_bounded(n)) <= 2 * n
     for q in (2, 3, 5, 7, 11):
         code = triple_construction(q, one_bounded((q * q + q + 1) // 2))
-        assert plan_of(code)[0] is _scan_stars
+        assert stars_of(code) <= 3 * len(code)
         words = random.Random(q).sample(code.strings(), len(code) // 3)
-        assert plan_of(Code.from_strings(words))[0] is _scan_stars
+        assert stars_of(Code.from_strings(words)) <= 3 * len(words)
     for t, target in itertools.product((1, 2, 3), (10, 30, 100, 400)):
-        assert plan_of(recursive_construction(t, target))[0] is _scan_stars
-
-
-@pytest.mark.parametrize("m", [200, 300, 500])
-def test_dense_codes_of_200_words_take_blas(m):
-    for n in (10, 30, 100, 198):
-        assert plan_of(dense_code(m, n, m + n))[0] is _scan_rows
+        code = recursive_construction(t, target)
+        assert stars_of(code) <= 3**t * len(code)
+    assert stars_of(dense_code(200, 100, 7)) > 25 * 200
 
 
 class TestScanPlan:
     def test_split_by_triple_count(self):
-        # each part's rows hold the mean share of the work to within the first
-        # row's work, and the shares add up to the closed form
-        for m, parts in [(500, 2), (500, 3), (1452, 4), (5, 3), (41, 7)]:
-            shares = [row_work(m, range(p, m - 2, parts)) for p in range(parts)]
-            assert sum(shares) == row_work(m, range(m - 2)) == (m - 1) * m * (2 * m - 1) // 6 - 1
-            assert all(abs(parts * s - sum(shares)) <= parts * (m - 1) ** 2 for s in shares)
+        # each part's rows start the mean share of the pairs _scan_plan counts,
+        # and of the triples behind them, to within the first row's, and the
+        # shares add up to the closed forms
+        closed = {1: lambda m: m * (m - 1) // 2 - 1, 2: lambda m: (m - 1) * m * (2 * m - 1) // 6 - 1}
+        for (m, parts), power in itertools.product([(500, 2), (500, 3), (1452, 4), (5, 3), (41, 7)], (1, 2)):
+            shares = [row_work(m, range(p, m - 2, parts), power) for p in range(parts)]
+            assert sum(shares) == row_work(m, range(m - 2), power) == closed[power](m)
+            assert all(abs(parts * s - sum(shares)) <= parts * (m - 1) ** power for s in shares)
         # 500 dense words of length 198 hold up to 198 * 166 stars
-        assert _scan_plan(500, 198, 198 * 166, 2, 2) == (_scan_rows, 2)
+        assert _scan_plan(500, 198, 198 * 166, 2, 2) == 2
 
     def test_pool_is_capped_by_cpus_and_rows(self):
-        assert _scan_plan(500, 198, 198 * 166, 1000, 2) == (_scan_rows, 2)
-        assert _scan_plan(500, 198, 198 * 166, 3, 64) == (_scan_rows, 3)
-        assert _scan_plan(5, 10**9, 10**9, 1000, 64) == (_scan_stars, 3)
-        assert _scan_plan(3, 10**9, 10**9, 4, 4) == (_scan_rows, 1)
-        assert _scan_plan(40, 10**9, 13 * 10**9, 1, 8) == (_scan_rows, 1)
+        assert _scan_plan(500, 198, 198 * 166, 1000, 2) == 2
+        assert _scan_plan(500, 198, 198 * 166, 3, 64) == 3
+        assert _scan_plan(5, 10**9, 10**9, 1000, 64) == 3
+        assert _scan_plan(3, 10**9, 10**9, 4, 4) == 1
+        assert _scan_plan(40, 10**9, 13 * 10**9, 1, 8) == 1
         q11 = triple_construction(11, one_bounded(66))
         assert plan_of(q11, 64, 64) == (_scan_stars, 22)
 
@@ -271,7 +253,7 @@ class TestScanPlan:
         assert verify_trifferent(code, workers=2) == want
 
     def test_small_scans_stay_serial(self):
-        # less than 2 * _MIN_PROCESS_WORK of either kernel's work
+        # less than 2 * _MIN_PROCESS_WORK of work
         small = [one_bounded(66), one_bounded(120), triple_construction(5, one_bounded(15))]
         for code in [*small, dense_code(200, 50, 14), dense_code(200, 100, 7)]:
             assert plan_of(code, 64, 64)[1] == 1
@@ -308,29 +290,6 @@ class TestScanPlan:
         monkeypatch.chdir(tmp_path)
         assert run(["verify", "planted-early.triff", "--workers", "2", "--json"]) == 1
         assert json.loads(capsys.readouterr().out)["witness"] == list(witness)
-
-    @pytest.mark.parametrize("n", [84, 198])
-    def test_plan_matches_the_numpy_plan(self, n):
-        np = pytest.importorskip("numpy")
-
-        def numpy_plan(m, workers, cpus):
-            # the contiguous split by the BLAS kernel's work as first written,
-            # with cumsum and searchsorted
-            rows = m - 2
-            work = np.concatenate(([0], np.cumsum((m - 1 - np.arange(rows)) ** 2)))
-            total = int(work[-1]) * n + m * core._BLAS_ROW_WORK + m * m * n * core._BLAS_CELL_WORK
-            parts = max(1, min(workers, cpus, rows, total // core._MIN_PROCESS_WORK))
-            cuts = np.searchsorted(work, [work[-1] * t // parts for t in range(1, parts)])
-            bounds = sorted({0, rows, *(int(c) for c in cuts)})
-            return list(zip(bounds, bounds[1:]))
-
-        for m in [*range(3, 1453, 13), 393, 500, 1452]:
-            # n * (m // 3) stars, the most m words can hold: dense enough for
-            # BLAS from 55 words on, and below that too small to split
-            for workers, cpus in itertools.product(range(1, 5), repeat=2):
-                kernel, parts = _scan_plan(m, n, n * (m // 3), workers, cpus)
-                assert kernel is _scan_rows or m < 55
-                assert parts == len(numpy_plan(m, workers, cpus))
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError):
