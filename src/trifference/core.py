@@ -16,16 +16,17 @@ enough to repay the pool's start-up, so codes the size of the q = 7 code,
 and early violations in them, are scanned in one process whatever --workers
 says.
 
-Shift sampling multiplies 0/1 symbol planes as float32 matrices.  It stays
-exact: every product term is 0 or 1, so each partial sum is an integer no
-larger than the number of terms, which is kept below 2**24 (see _planes).
-numpy is imported inside shift sampling, and fractions too, so every other
-command starts without them.
+Shift sampling counts on big ints too: each word owns a few bits of one
+integer per coordinate and symbol, and sums of those integers, precomputed
+for blocks of three coordinates, count the twos of every shifted word at
+once (shift_density_sample).  fractions and struct are imported inside
+shift sampling, so every other command starts without them.
 
 Sampled shift vectors are drawn from the Mersenne Twister 64 bits per
-symbol at a time and turned into symbols with numpy, giving exactly the
-symbols, and leaving the generator in exactly the state, of one
-random.choices draw per symbol (_sampled_shifts).
+symbol at a time.  One byte table turns the top byte of each draw into its
+symbol, and the two bytes in 256 that straddle 1/3 or 2/3 are resolved
+exactly, giving exactly the symbols, and leaving the generator in exactly
+the state, of one random.choices draw per symbol (_sampled_shifts).
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    import numpy as np
 
 __all__ = [
     "Codeword",
@@ -325,34 +324,6 @@ def naive_trifferent_triple(x: Codeword, y: Codeword, z: Codeword) -> bool:
     )
 
 
-def _symbol_matrix(strings, n: int) -> np.ndarray:
-    """Words over 012, each n long, as a uint8 matrix of symbols, one row each.
-
-    A string may hold several words back to back.
-    """
-    import numpy as np
-
-    flat = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
-    return flat.reshape(-1, n) - ord("0")
-
-
-def _planes(U: np.ndarray, targets) -> np.ndarray:
-    """The 0/1 matrix [U == t_0 | U == t_1 | ...], one n-column plane per target.
-
-    A target is a symbol or a row of per-coordinate symbols.  Products of
-    these planes are integer counts; float32 keeps every partial sum exact
-    while the number of summed terms stays below 2**24.
-    """
-    import numpy as np
-
-    rows, n = U.shape
-    dtype = np.float32 if n * len(targets) < 2**24 else np.float64
-    out = np.empty((rows, n * len(targets)), dtype=dtype)
-    for t, target in enumerate(targets):
-        np.equal(U, target, out=out[:, t * n : (t + 1) * n])
-    return out
-
-
 def _column_counts(words: str, n: int):
     """For each coordinate, how many of the words hold 0, 1 and 2 there.
 
@@ -557,51 +528,52 @@ def shift(code: Code, v: Codeword) -> Code:
     return Code(code.n, tuple(add_codewords(x, v) for x in code))
 
 
-# Shift vectors are counted in blocks of this many rows, which bounds the
-# count matrix at |C| x _SHIFT_BLOCK.
-_SHIFT_BLOCK = 1024
+# The symbol floor(3 * random()) for each top byte t of a draw's first output,
+# which puts random() in [t/256, (t+1)/256); 3 marks the bytes 0x55 and 0xAA,
+# whose ranges hold 1/3 and 2/3.
+_TOP_BYTE_SYMBOLS = bytes(3 if t in (0x55, 0xAA) else 3 * t // 256 for t in range(256))
+# The one N at which floor(N * 2**-53 * 3.0) exceeds (3 * N) >> 53: 3 * N is
+# then 2**54 - 1, which needs 54 bits, and a float64 rounds it to 2**54.
+_ROUNDS_UP = (2**54 - 1) // 3
 
 
 def _sampled_shifts(n: int, trials: int, rng: Random):
-    """Seeded shift vectors as uint8 symbol blocks, drawn in trial order.
+    """Seeded shift vectors as bytes of symbols 0/1/2, at most 128 rows at a time.
 
     The symbols are exactly those of rng.choices("012", k=trials * n), and
     rng is left in the same state.  choices draws each symbol as
     floor(random() * 3.0), and random() takes the next two 32-bit outputs a
-    and b of the Mersenne Twister and returns
-    ((a >> 5) * 2**26 + (b >> 6)) * 2**-53.  rng.getrandbits(64 * t) takes
-    the same 2t outputs in the same order and puts the first in the least
-    significant 32 bits, so its little-endian bytes are a and b of each of t
-    symbols in turn.  The same float64 operations, in the same order, then
-    give the same symbols.  The integer form (3 * N) >> 53 of the floor is
-    not the same: at N = (2**54 - 1) / 3 the float product rounds up to 2.0.
-
-    At most 128 rows are drawn at a time, which keeps the draw's temporaries
-    to a few hundred kB.
+    and b of the Mersenne Twister and returns N * 2**-53 with
+    N = (a >> 5) * 2**26 + (b >> 6).  rng.getrandbits(64 * t) takes the same
+    2t outputs in the same order and puts the first in the least significant
+    32 bits, so its little-endian bytes are a and b of each of t symbols in
+    turn, and byte 3 of each 8 is the top byte of a, which is the top byte
+    of N.  That byte fixes the symbol except at 0x55 and 0xAA, where the
+    symbol is computed from N itself.
     """
-    import numpy as np
+    import struct
 
-    for done in range(0, trials, _SHIFT_BLOCK):
-        size = min(_SHIFT_BLOCK, trials - done) * n
-        block = np.empty(size, dtype=np.uint8)
-        for start in range(0, size, 128 * n):
-            t = min(128 * n, size - start)
-            draws = rng.getrandbits(64 * t).to_bytes(8 * t, "little")
-            a, b = np.frombuffer(draws, dtype="<u4").reshape(t, 2).T
-            # the float-to-uint8 cast truncates, which is the floor here
-            block[start : start + t] = ((a >> 5) * 67108864.0 + (b >> 6)) * 2.0**-53 * 3.0
-        yield block.reshape(-1, n)
+    for done in range(0, trials, 128):
+        t = min(128, trials - done) * n
+        draws = rng.getrandbits(64 * t).to_bytes(8 * t, "little")
+        symbols = draws[3::8].translate(_TOP_BYTE_SYMBOLS)
+        at = symbols.find(3)
+        if at >= 0:
+            symbols = bytearray(symbols)
+            while at >= 0:
+                a, b = struct.unpack_from("<2I", draws, 8 * at)
+                N = (a >> 5) << 26 | b >> 6
+                symbols[at] = 2 if N == _ROUNDS_UP else 3 * N >> 53
+                at = symbols.find(3, at + 1)
+        yield bytes(symbols)
 
 
 def _all_shifts(n: int):
-    """All 3^n shift vectors as uint8 symbol blocks of at most 3^7 rows."""
-    import numpy as np
-
+    """All 3^n shift vectors in lexicographic order, as bytes of at most 3^7 rows."""
     t = min(n, 7)
-    tails = np.array(list(itertools.product(range(3), repeat=t)), dtype=np.uint8)
+    tails = [bytes(tail) for tail in itertools.product(range(3), repeat=t)]
     for head in itertools.product(range(3), repeat=n - t):
-        heads = np.broadcast_to(np.array(head, dtype=np.uint8), (len(tails), n - t))
-        yield np.hstack((heads, tails))
+        yield b"".join(map(bytes(head).__add__, tails))
 
 
 class ShiftSampleStats(NamedTuple):
@@ -639,9 +611,8 @@ def shift_density_sample(
     exhaustive mode averages over all 3^n shifts and reproduces it exactly.
     Requires a trifferent input and, in sampling mode, an explicit seed.
     """
+    import struct
     from fractions import Fraction
-
-    import numpy as np
 
     n = code.n
     if not 0 <= r <= n:
@@ -660,15 +631,41 @@ def shift_density_sample(
         if seed is None:
             raise ValueError("sampling mode requires an explicit seed")
         shifts = _sampled_shifts(n, trials, Random(seed))
-    X = _planes(_symbol_matrix(code.strings(), n), (0, 1, 2))
+    m = len(code)
+    # Word u owns the w bits from w * u in each plane, the fields holding
+    # counts up to n with the top bit clear.  int() turns each base-2**d
+    # digit of a string into d bits, so w is a multiple of d.
+    w, d = min((-(-(n.bit_length() + 1) // d) * d, d) for d in (3, 4))
+    field = "0" * (w // d - 1)
+    spread = [str.maketrans({t: field + "01"[t == s] for t in "012"}) for s in "012"]
+    words = "".join(code.strings())
+    # planes[c][s]: the words holding s at c, word 0 in the lowest field
+    planes = [[int(words[c::n][::-1].translate(t) or "0", 2**d) for t in spread] for c in range(n)]
+    # x + v holds a 2 at c where x holds (2 - v_c) mod 3, so one sum of
+    # planes counts the twos of every word; sum them ahead for every pattern
+    # of each block of three coordinates
+    blocks = [range(c, min(c + 3, n)) for c in range(0, n, 3)]
+    tables = [
+        {
+            bytes(v): sum(planes[c][(2 - s) % 3] for c, s in zip(block, v))
+            for v in itertools.product(range(3), repeat=len(block))
+        }
+        for block in blocks
+    ]
+    row = "".join(f"{len(block)}s" for block in blocks)
+    # XOR zeroes the fields equal to r; adding 2**(w-1) - 1 then sets the
+    # top bit of every field but those
+    ones = ((1 << w * m) - 1) // ((1 << w) - 1)
+    rs, low, tops = r * ones, ((1 << w - 1) - 1) * ones, (1 << w - 1) * ones
     total = 0
     max_count = 0
-    for V in shifts:
-        # x + v holds a 2 where (x, v) is (0, 2), (1, 1) or (2, 0)
-        twos = X @ _planes(V, (2, 1, 0)).T
-        counts = np.count_nonzero(twos == r, axis=0)
-        total += int(counts.sum())
-        max_count = max(max_count, int(counts.max()))
+    for rows in shifts:
+        misses = [
+            (((sum(map(dict.__getitem__, tables, keys)) ^ rs) + low) & tops).bit_count()
+            for keys in struct.iter_unpack(row, rows)
+        ]
+        total += m * len(misses) - sum(misses)
+        max_count = max(max_count, m - min(misses))
     return ShiftSampleStats(
         n=n,
         r=r,

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -621,3 +623,14 @@ def test_help_and_usage_errors_are_unchanged(tmp_path, monkeypatch, capsys, argv
     assert lazy == parser_outcome(lambda a: build_parser().parse_args(a), argv, capsys)
     if sys.version_info[:3] == (3, 11, 7):
         assert lazy == PARSER_DIGESTS[" ".join(argv)]
+
+
+def test_readme_commands_run_as_written(tmp_path, monkeypatch, capsys):
+    # every line of the README's command block, in order, in one directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("trifference ")]
+    assert len(lines) > 15
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)

@@ -2,13 +2,11 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trifference.core import (
-    _SHIFT_BLOCK,
     _sampled_shifts,
     NOT_TRIFFERENT,
     Code,
@@ -41,6 +39,19 @@ def cw(s: str) -> Codeword:
 
 def code_of(*strings: str) -> Code:
     return Code(len(strings[0]), tuple(cw(s) for s in strings))
+
+
+def ternary(x: int, n: int) -> str:
+    """x written in base 3 with n digits."""
+    digits = []
+    for _ in range(n):
+        x, d = divmod(x, 3)
+        digits.append("012"[d])
+    return "".join(reversed(digits))
+
+
+# Symbols 0/1/2, as _sampled_shifts yields them, to the text "012".
+SYMBOL_TEXT = bytes.maketrans(b"\x00\x01\x02", b"012")
 
 
 class TestCodeword:
@@ -170,7 +181,7 @@ class TestTripleCheck:
             for _ in range(300):
                 if space < 30:
                     a, b, c = rng.sample(range(space), 3)
-                    trip = [np.base_repr(x, 3).zfill(n) for x in (a, b, c)]
+                    trip = [ternary(x, n) for x in (a, b, c)]
                 else:
                     trip = ["".join(rng.choices("012", k=n)) for _ in range(3)]
                     if len(set(trip)) < 3:
@@ -179,24 +190,24 @@ class TestTripleCheck:
                 assert is_trifferent_triple(x, y, z) == naive_trifferent_triple(x, y, z)
 
     def test_agreement_sweep_all_lengths(self):
-        # 10^4 triples at every length up to 64; digits drawn, and triples
-        # with a repeated word dropped, in bulk
+        # 10^4 triples at every length up to 64; symbols drawn in bulk as
+        # random bytes mod 3 (86:85:85, near enough uniform here), and
+        # triples with a repeated word dropped
         trials = 10**4
-        gen = np.random.default_rng(2214)
+        gen = random.Random(2214)
+        mod3 = bytes(b"012"[i % 3] for i in range(256))
         for n in range(1, 65):
             if 3**n <= 27:
                 rng = random.Random(n)
-                words = [cw(np.base_repr(x, 3).zfill(n)) for x in range(3**n)]
+                words = [cw(ternary(x, n)) for x in range(3**n)]
                 triples = [rng.sample(words, 3) for _ in range(trials)]
                 kept = trials
             else:
-                digits = gen.integers(0, 3, size=(trials, 3, n), dtype=np.uint8)
-                x, y, z = digits[:, 0], digits[:, 1], digits[:, 2]
-                digits = digits[(x != y).any(1) & (y != z).any(1) & (x != z).any(1)]
-                kept = len(digits)
-                flat = (digits + ord("0")).tobytes().decode("ascii")
-                words = map(cw, (flat[i : i + n] for i in range(0, len(flat), n)))
-                triples = zip(words, words, words)
+                flat = gen.randbytes(3 * n * trials).translate(mod3).decode()
+                words = (flat[i : i + n] for i in range(0, len(flat), n))
+                distinct = [t for t in zip(words, words, words) if t[0] != t[1] != t[2] != t[0]]
+                kept = len(distinct)
+                triples = (map(cw, t) for t in distinct)
             assert kept >= trials // 2
             for x, y, z in triples:
                 assert is_trifferent_triple(x, y, z) == naive_trifferent_triple(x, y, z)
@@ -258,7 +269,7 @@ class TestLayerCounts:
         n = 4
         by_twos = [0] * (n + 1)
         for x in range(3**n):
-            s = np.base_repr(x, 3).zfill(n)
+            s = ternary(x, n)
             by_twos[s.count("2")] += 1
         for r in range(n + 1):
             assert count_A_r(n, r) == by_twos[r]
@@ -289,28 +300,67 @@ class TestShiftDensity:
         with pytest.raises(NotTrifferentError):
             shift_density_sample(code_of("00", "01", "10"), r=1, exhaustive=True)
 
+    @pytest.mark.parametrize(
+        "code, r, mode, max_count, mean",
+        [
+            # CI's command on the q = 3 triple code
+            (lambda: triple_construction(3, one_bounded(6)), 1, (3000, 5), 4, Fraction(121, 600)),
+            (lambda: triple_construction(7, one_bounded(28)), 40, (3000, 11), 28, Fraction(139, 150)),
+            # 3^9 shifts cross the 3^7-row blocks of the exhaustive mode
+            (lambda: one_bounded(9), 0, None, 2, Fraction(1024, 2187)),
+            (lambda: one_bounded(9), 1, None, 18, Fraction(512, 243)),
+            (lambda: one_bounded(9), 2, None, 14, Fraction(1024, 243)),
+            (lambda: one_bounded(9), 3, None, 14, Fraction(3584, 729)),
+            (lambda: Code(4, ()), 1, None, 0, Fraction(0)),
+            (lambda: Code(4, ()), 2, (10, 1), 0, Fraction(0)),
+            (lambda: code_of("2101"), 2, None, 1, Fraction(8, 27)),
+            (lambda: code_of("2101"), 1, (100, 2), 1, Fraction(1, 2)),
+        ],
+        ids=["t3", "q7", "ob9-r0", "ob9-r1", "ob9-r2", "ob9-r3", "empty", "empty-sampled", "one", "one-sampled"],
+    )
+    def test_pinned_counts(self, code, r, mode, max_count, mean):
+        # captured from the float32 matrix products of an earlier version
+        if mode is None:
+            stats = shift_density_sample(code(), r, exhaustive=True)
+            assert stats.mean_fraction == stats.expectation
+        else:
+            stats = shift_density_sample(code(), r, trials=mode[0], seed=mode[1])
+        assert (stats.max_count, stats.mean_fraction) == (max_count, mean)
 
-def choices_shifts(n: int, trials: int, rng: random.Random):
-    """The shift vectors as first drawn: random.choices, one draw per symbol."""
-    for done in range(0, trials, _SHIFT_BLOCK):
-        k = min(_SHIFT_BLOCK, trials - done)
-        symbols = "".join(rng.choices("012", k=k * n)).encode("ascii")
-        yield np.frombuffer(symbols, dtype=np.uint8).reshape(k, n) - ord("0")
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 140), st.data())
+def test_shift_counts_match_shifting_each_word(n, data):
+    # a reference count per shift, one codeword at a time, on the symbols
+    # random.choices draws; lengths cross every field width up to 9 bits
+    chosen = data.draw(st.lists(st.sampled_from(one_bounded(n).strings()), unique=True, max_size=12))
+    code = Code.from_strings(chosen, n)
+    r = data.draw(st.integers(0, n))
+    seed = data.draw(st.integers(0, 2**64))
+    trials = data.draw(st.integers(1, 300))
+    rng = random.Random(seed)
+    counts = []
+    for _ in range(trials):
+        v = cw("".join(rng.choices("012", k=n)))
+        counts.append(sum(add_codewords(x, v).count_twos == r for x in code))
+    stats = shift_density_sample(code, r, trials=trials, seed=seed)
+    assert (stats.max_count, stats.mean_fraction) == (max(counts), Fraction(sum(counts), trials))
 
 
 class TestSampledShifts:
     @pytest.mark.parametrize("seed", [0, 11, 2**70 + 5])
     @pytest.mark.parametrize("n", [1, 7, 84])
     def test_same_stream_as_choices(self, seed, n):
-        # trials at and either side of the 128-row draw and of _SHIFT_BLOCK
-        for trials in (127, 128, 129, _SHIFT_BLOCK - 1, _SHIFT_BLOCK, _SHIFT_BLOCK + 1, 2500):
+        # trials at and either side of the 128-row draw, and of the
+        # 1024-row blocks an earlier version counted in
+        for trials in (127, 128, 129, 1023, 1024, 1025, 2500):
             bulk, single = random.Random(seed), random.Random(seed)
             got = list(_sampled_shifts(n, trials, bulk))
-            want = list(choices_shifts(n, trials, single))
-            assert [b.shape for b in got] == [b.shape for b in want]
-            for block, expected in zip(got, want):
-                assert block.dtype == np.uint8
-                assert np.array_equal(block, expected)
+            assert [len(rows) for rows in got] == [
+                min(128, trials - done) * n for done in range(0, trials, 128)
+            ]
+            want = "".join(single.choices("012", k=trials * n))
+            assert b"".join(got).translate(SYMBOL_TEXT).decode() == want
             assert bulk.getstate() == single.getstate()
 
     def test_float_product_rounds_as_random_does(self):
@@ -318,13 +368,42 @@ class TestSampledShifts:
         # integer form (3 * N) >> 53 says 1
         N = (2**54 - 1) // 3
         assert math.floor(N * 2.0**-53 * 3.0) == 2 and (3 * N) >> 53 == 1
-        a, b = (N >> 26) << 5, (N & (2**26 - 1)) << 6
+        assert next(_sampled_shifts(3, 2, forced_draws(N))) == bytes([2] * 6)
 
-        class Fixed(random.Random):
-            def getrandbits(self, k):
-                return int.from_bytes((a | b << 32).to_bytes(8, "little") * (k // 64), "little")
+    @pytest.mark.parametrize(
+        "N, symbol",
+        [
+            ((0x55 << 45) - 1, 0),  # the top of byte 0x54
+            (0x55 << 45, 0),
+            (2**53 // 3, 0),  # just below 1/3
+            (2**53 // 3 + 1, 1),  # just above 1/3
+            ((0x56 << 45) - 1, 1),
+            (0xAA << 45, 1),
+            ((2**54 - 1) // 3 - 1, 1),  # just below 2/3
+            ((2**54 - 1) // 3 + 1, 2),  # just above 2/3
+            ((0xAB << 45) - 1, 2),
+            (0xAB << 45, 2),  # the bottom of byte 0xAB
+        ],
+    )
+    def test_top_bytes_that_straddle_a_third(self, N, symbol):
+        # byte 0x55 holds 1/3 and byte 0xAA holds 2/3
+        want = "".join(forced_draws(N).choices("012", k=6))
+        assert want == str(symbol) * 6
+        assert next(_sampled_shifts(2, 3, forced_draws(N))) == bytes([symbol] * 6)
 
-        assert np.array_equal(next(_sampled_shifts(3, 2, Fixed())), [[2, 2, 2], [2, 2, 2]])
+
+def forced_draws(N: int) -> random.Random:
+    """A generator whose every random() is N * 2**-53, in either form of draw."""
+    a, b = (N >> 26) << 5, (N & (2**26 - 1)) << 6
+
+    class Forced(random.Random):
+        def getrandbits(self, k):
+            return int.from_bytes((a | b << 32).to_bytes(8, "little") * (k // 64), "little")
+
+        def random(self):
+            return ((a >> 5) * 67108864.0 + (b >> 6)) * 2.0**-53
+
+    return Forced()
 
 
 class TestPrune:

@@ -1,7 +1,7 @@
 """Start-up cost: the modules a fresh interpreter loads to import the package or run a command.
 
 Each check runs in a new interpreter, because this test process has long
-since imported numpy and every layer.
+since imported every layer.
 """
 
 import json
@@ -143,8 +143,9 @@ def test_dense_code_verifies_without_numpy(tmp_path):
 
 
 def test_benchmark_codes_verify_with_numpy_blocked(tmp_path):
-    # the codes both benchmark workloads verify; a numpy that cannot be
-    # imported shows that neither this process nor a pool worker loads it
+    # the codes both benchmark workloads verify, and one command of each
+    # kind that reads or writes a code; a numpy that cannot be imported
+    # shows that neither this process nor a pool worker loads it
     q7 = triple_construction(7, one_bounded(28))
     q11 = triple_construction(11, one_bounded(66))
     write_triff(q7, tmp_path / "q7.triff")
@@ -157,7 +158,15 @@ def test_benchmark_codes_verify_with_numpy_blocked(tmp_path):
         ["verify", name, "--workers", workers]
         for name in ("q7.triff", "q11-subset.triff", "planted-early.triff", "planted-late.triff")
         for workers in ("1", "2")
-    ] + [["construct", "triple", "--q", "5"], ["construct", "recursive", "--t", "2", "--target", "100"]]
+    ] + [
+        ["construct", "triple", "--q", "5", "-o", "t5.triff"],
+        ["construct", "recursive", "--t", "2", "--target", "100"],
+        ["prune", "t5.triff"],
+        ["project", "t5.triff", "--best", "-o", "t5p.triff"],
+        ["graph", "build", "t5p.triff", "--edges", "t5p.edges"],
+        ["bound", "report", "--n", "1000", "--code", "q7.triff"],
+        ["sample-shift", "q7.triff", "--r", "3", "--trials", "300", "--seed", "11"],
+    ]
     script = f"from trifference import cli\nimport sys\nsys.exit(sum(cli.run(a) for a in {argvs!r}))"
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -186,11 +195,17 @@ def test_small_codes_verify_without_numpy(tmp_path):
     assert "numpy" not in out["loaded"]
 
 
-def test_sample_shift_loads_no_numpy_random(tmp_path):
+def test_sample_shift_loads_no_numpy(tmp_path):
     write_triff(triple_construction(5, one_bounded(15)), tmp_path / "c.triff")
-    out = loaded_after([["sample-shift", "c.triff", "--r", "3", "--trials", "300", "--seed", "5"]], tmp_path)
-    assert out["rcs"] == [0]
-    assert "numpy" in out["loaded"] and "numpy.random" not in out["loaded"]
+    write_triff(one_bounded(6), tmp_path / "ob.triff")
+    out = loaded_after(
+        [
+            ["sample-shift", "c.triff", "--r", "3", "--trials", "300", "--seed", "5"],
+            ["sample-shift", "ob.triff", "--r", "1", "--exhaustive"],
+        ],
+        tmp_path,
+    )
+    assert out == {"rcs": [0, 0], "loaded": ["fractions"]}
 
 
 def test_early_violation_opens_no_pool(tmp_path):
