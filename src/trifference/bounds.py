@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import Code, NotTrifferentError, verify_trifferent
+from .core import Code, _require_trifferent
 
 __all__ = [
     "BoundEntry",
@@ -293,9 +293,7 @@ def bound_report(n: int, exact_tb: dict | None = None, codes=None) -> BoundRepor
     if n < 1:
         raise ValueError("n must be positive")
     for label, code in (codes or {}).items():
-        result = verify_trifferent(code)
-        if not result.ok:
-            raise NotTrifferentError(f"{label} is not trifferent (witness {result.witness})")
+        _require_trifferent(code, label)
     entries = []
 
     # every entry comes from here: valid when it has a log2 value, its value

@@ -6,7 +6,7 @@ import math
 from random import Random
 from typing import NamedTuple
 
-from .core import Code, Codeword, _Frozen, verify_trifferent
+from .core import Code, _Frozen, _require_trifferent
 
 __all__ = [
     "AffineLine",
@@ -144,18 +144,6 @@ def fpf_permutation(plane: AffineIncidence, line: AffineLine) -> dict:
         raise ValueError(f"line {line} does not belong to this plane") from None
 
 
-def _concat(words: list[Codeword]) -> Codeword:
-    n = sum(w.n for w in words)
-    m0 = m1 = m2 = 0
-    off = 0
-    for w in words:
-        m0 |= w.mask0 << off
-        m1 |= w.mask1 << off
-        m2 |= w.mask2 << off
-        off += w.n
-    return Codeword(n=n, mask0=m0, mask1=m1, mask2=m2)
-
-
 def triple_construction(
     q: int, base: Code, sigma_seed: int | None = None
 ) -> Code:
@@ -176,25 +164,18 @@ def triple_construction(
         )
     if base.r_bound is None:
         raise ValueError("base code must be exactly r-bounded")
-    check = verify_trifferent(base)
-    if not check.ok:
-        raise ValueError(
-            f"base code is not trifferent (witness {check.witness})"
-        )
-    phi = {p: base.codewords[i] for i, p in enumerate(plane.points)}
-    psi = {ln: base.codewords[i] for i, ln in enumerate(plane.lines)}
-    words = []
-    for p, ln in plane.flags:
-        words.append(_concat([phi[p], psi[ln], phi[plane.sigma[ln][p]]]))
+    _require_trifferent(base, "base code")
+    strings = base.strings()
+    phi = {p: strings[i] for i, p in enumerate(plane.points)}
+    psi = {ln: strings[i] for i, ln in enumerate(plane.lines)}
+    words = [phi[p] + psi[ln] + phi[plane.sigma[ln][p]] for p, ln in plane.flags]
     sigma_note = "cyclic" if sigma_seed is None else f"random seed={sigma_seed}"
     comments = (
         f"# construction=triple q={q} sigma={sigma_note}",
         f"# base: n={base.n} size={len(base)} r={base.r_bound}",
     )
-    code = Code(3 * base.n, tuple(words), comments=comments)
-    if len(code) != q**3 + q**2:
-        raise RuntimeError("flag map failed to be injective")  # unreachable for valid bases
-    return code
+    # distinct flags give distinct words, which Code checks
+    return Code.from_strings(words, n=3 * base.n, comments=comments)
 
 
 def recursive_construction(t: int, target_size: int) -> Code:

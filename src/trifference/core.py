@@ -2,7 +2,13 @@
 
 A code C over {0,1,2} is trifferent when every triple of distinct codewords
 has a coordinate at which the three words take all three symbols.  Codewords
-carry one integer bitmask per symbol.
+carry their string over 012 and one integer bitmask per symbol.  The string
+is the form that is built, sorted and read: the transforms (prune, project)
+and the constructions slice and join strings and build codes through
+Code.from_strings, and the kernels below read the codes' joined strings.
+The masks serve word equality, the single-triple check
+(is_trifferent_triple), symbol, count_twos, two_locations, and
+add_codewords, the one function that builds a word from masks.
 
 The verifier's triple scan (_scan_stars) works on big-int bitsets: a
 separating coordinate needs one word of the triple on that coordinate's
@@ -154,7 +160,7 @@ class Codeword(_Frozen):
     Bit i of mask_s is set iff coordinate i holds symbol s.  The three masks
     partition the coordinate set; this is validated at construction so that
     downstream mask arithmetic never has to re-check it.  The word also keeps
-    its string, which Code sorts by.
+    its string, which Code sorts by and transforms slice.
     """
 
     _fields = ("n", "mask0", "mask1", "mask2")
@@ -500,6 +506,13 @@ def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
     return VerificationResult(TRIFFERENT if witness is None else NOT_TRIFFERENT, witness)
 
 
+def _require_trifferent(code: Code, what: str) -> None:
+    """Raise NotTrifferentError, naming code as `what`, unless code is trifferent."""
+    result = verify_trifferent(code)
+    if not result.ok:
+        raise NotTrifferentError(f"{what} is not trifferent (witness {result.witness})")
+
+
 def count_A_r(n: int, r: int) -> int:
     """Size of the layer of length-n words with exactly r twos: C(n,r) * 2^(n-r)."""
     if n < 1:
@@ -617,11 +630,7 @@ def shift_density_sample(
     n = code.n
     if not 0 <= r <= n:
         raise ValueError(f"r must lie in [0, {n}], got {r}")
-    result = verify_trifferent(code)
-    if not result.ok:
-        raise NotTrifferentError(
-            f"input is not trifferent (witness {result.witness})"
-        )
+    _require_trifferent(code, "input")
     expectation = Fraction(count_A_r(n, r) * len(code), 3**n)
     if exhaustive:
         trials, seed, shifts = 3**n, None, _all_shifts(n)
@@ -691,11 +700,10 @@ def prune(code: Code) -> list[Code]:
     chain = [Code(code.n, code.codewords)]
     current = list(code.codewords)
     for coord in range(code.n):
-        counts = [0, 0, 0]
-        for w in current:
-            counts[w.symbol(coord)] += 1
-        least = counts.index(min(counts))  # index() takes the smallest symbol on ties
-        current = [w for w in current if w.symbol(coord) != least]
+        column = "".join([w.string[coord] for w in current])
+        counts = [column.count(s) for s in "012"]
+        least = "012"[counts.index(min(counts))]  # index() takes the smallest symbol on ties
+        current = [w for w, s in zip(current, column) if s != least]
         chain.append(Code(code.n, tuple(current)))
     if len(current) > 2:
         raise NotTrifferentError(
@@ -704,34 +712,27 @@ def prune(code: Code) -> list[Code]:
     return chain
 
 
+def _require_projectable(code: Code) -> None:
+    """Raise unless every word of code has the same number r >= 1 of twos."""
+    if code.r_bound is None:
+        raise ValueError("projection requires an exactly r-bounded code")
+    if code.r_bound == 0:
+        raise ValueError("cannot project a 0-bounded code (no symbol 2 anywhere)")
+
+
 def project(code: Code, i: int) -> Code:
     """Keep codewords with symbol 2 at coordinate i, then delete coordinate i.
 
     The input must be exactly r-bounded for some r >= 1; the output is then
     (r-1)-bounded with block length n-1.
     """
-    if code.r_bound is None:
-        raise ValueError("projection requires an exactly r-bounded code")
-    if code.r_bound == 0:
-        raise ValueError("cannot project a 0-bounded code (no symbol 2 anywhere)")
+    _require_projectable(code)
     if code.n == 1:
         raise ValueError("cannot project a code of block length 1")
     if not 0 <= i < code.n:
         raise ValueError(f"coordinate {i} out of range for length {code.n}")
-    low = (1 << i) - 1
-    words = []
-    for w in code:
-        if not (w.mask2 >> i) & 1:
-            continue
-        words.append(
-            Codeword(
-                n=code.n - 1,
-                mask0=(w.mask0 & low) | ((w.mask0 >> (i + 1)) << i),
-                mask1=(w.mask1 & low) | ((w.mask1 >> (i + 1)) << i),
-                mask2=(w.mask2 & low) | ((w.mask2 >> (i + 1)) << i),
-            )
-        )
-    return Code(code.n - 1, tuple(words))
+    kept = [s[:i] + s[i + 1 :] for s in code.strings() if s[i] == "2"]
+    return Code.from_strings(kept, n=code.n - 1)
 
 
 def best_project(code: Code) -> int:
@@ -740,19 +741,10 @@ def best_project(code: Code) -> int:
     Summed over all coordinates the kept sizes equal r * |C|, so the best
     coordinate keeps at least r/n * |C| codewords.
     """
-    if code.r_bound is None:
-        raise ValueError("projection requires an exactly r-bounded code")
-    if code.r_bound == 0:
-        raise ValueError("cannot project a 0-bounded code (no symbol 2 anywhere)")
-    counts = [0] * code.n
-    for w in code:
-        for i in w.two_locations():
-            counts[i] += 1
-    best = 0
-    for i in range(1, code.n):
-        if counts[i] > counts[best]:
-            best = i
-    return best
+    _require_projectable(code)
+    joined = "".join(code.strings())
+    counts = [joined[c :: code.n].count("2") for c in range(code.n)]
+    return counts.index(max(counts))
 
 
 def support_multiplicities(code: Code) -> dict[tuple[int, ...], int]:

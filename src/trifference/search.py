@@ -4,11 +4,10 @@ The branch-and-bound engine walks candidate codewords in lexicographic order,
 keeps the incumbent, and prunes subtrees that cannot beat it, so the returned
 optimum is the lexicographically smallest one.  Candidate pools are Python
 big-int bitsets, and so are the pair masks that shrink them: each is an OR of
-per-coordinate symbol planes, so no search loads numpy.  The support bound
-counts the pool's words per exact 2-location set by popcount, where the
-pool's size alone does not prune.  The oracle re-solves small instances as a
-plain maximum independent set in the bad-triple hypergraph and shares no
-code path with the engine.
+per-coordinate symbol planes.  The support bound counts the pool's words per
+exact 2-location set by popcount, where the pool's size alone does not
+prune.  The oracle re-solves small instances as a plain maximum independent
+set in the bad-triple hypergraph and shares no code path with the engine.
 
 max_trifferent and max_r_bounded check only their own arguments, then both
 reach the certificate through _solve, in this order: the budget and bound

@@ -10,7 +10,7 @@ from trifference.constructions import (
     recursive_construction,
     triple_construction,
 )
-from trifference.core import verify_trifferent
+from trifference.core import Code, Codeword, NotTrifferentError, verify_trifferent
 
 
 class TestOneBounded:
@@ -116,14 +116,19 @@ class TestTripleConstruction:
             triple_construction(3, one_bounded(5))  # 10 < 12 needed
 
     def test_base_must_sit_in_one_layer(self):
-        from trifference.core import Code, Codeword
-
         mixed = Code(
             3,
             tuple(Codeword.from_string(s) for s in ("200", "220", "021", "002", "212", "111")),
         )
         with pytest.raises(ValueError):
             triple_construction(2, mixed)
+
+    def test_base_must_be_trifferent(self):
+        # the twelve words of length 3 with one 2, of which the first triple
+        # that no coordinate separates is 002, 012 and 102
+        layer = Code.from_strings("".join(w) for w in itertools.product("012", repeat=3) if w.count("2") == 1)
+        with pytest.raises(NotTrifferentError, match=r"^base code is not trifferent \(witness \(0, 1, 4\)\)$"):
+            triple_construction(2, layer)
 
 
 class TestRecursive:

@@ -297,7 +297,7 @@ class TestShiftDensity:
         assert a == b
 
     def test_rejects_non_trifferent_input(self):
-        with pytest.raises(NotTrifferentError):
+        with pytest.raises(NotTrifferentError, match=r"^input is not trifferent \(witness \(0, 1, 2\)\)$"):
             shift_density_sample(code_of("00", "01", "10"), r=1, exhaustive=True)
 
     @pytest.mark.parametrize(

@@ -15,9 +15,9 @@ import pytest
 
 import trifference
 from trifference.constructions import one_bounded, triple_construction
-from trifference.core import Code, _scan_stars, write_triff
+from trifference.core import Code, write_triff
 
-from test_verify import dense_code, plan_of, plant_violation
+from test_verify import dense_code, parts_of, plant_violation
 
 SRC = str(Path(trifference.__file__).resolve().parents[1])
 WATCHED = (
@@ -225,7 +225,7 @@ def test_verify_fan_out_parent_loads_no_numpy(tmp_path):
     words = random.Random(0).sample(triple_construction(11, one_bounded(66)).strings(), 500)
     code = Code.from_strings(words)
     write_triff(code, tmp_path / "c.triff")
-    assert plan_of(code, 2, 2) == (_scan_stars, 2)
+    assert parts_of(code, 2, 2) == 2
     out = loaded_after([["verify", "c.triff", "--workers", "2"]], tmp_path)
     assert out["rcs"] == [0]
     assert "numpy" not in out["loaded"]

@@ -139,14 +139,14 @@ def stars_of(code: Code) -> int:
     return sum(map(min, _column_counts("".join(code.strings()), code.n)))
 
 
-def plan_of(code: Code, workers: int = 1, cpus: int = 1):
-    """The kernel and the process count that verify_trifferent takes for code."""
-    return _scan_stars, _scan_plan(len(code), code.n, stars_of(code), workers, cpus)
+def parts_of(code: Code, workers: int = 1, cpus: int = 1) -> int:
+    """How many processes verify_trifferent scans code in."""
+    return _scan_plan(len(code), code.n, stars_of(code), workers, cpus)
 
 
-def test_dense_code_gives_one_witness_through_both_kernels():
-    # the witnesses that the BLAS scan, before the star scan became the only
-    # one, gave these codes; the trifferent one is the dense code CI verifies
+def test_dense_codes_give_one_witness_at_every_worker_count():
+    # the witnesses that an earlier BLAS triple scan gave these codes; the
+    # trifferent one is the dense code CI verifies
     for code, want in [(dense_code(200, 50, 14), (11, 48, 171)), (dense_code(200, 100, 7), None)]:
         with forced():
             for workers in (1, 2, 3):
@@ -193,7 +193,7 @@ def row_work(m, rows, power):
     return sum((m - 1 - i) ** power for i in rows)
 
 
-def test_constructed_codes_take_the_star_kernel():
+def test_constructed_codes_hold_few_stars():
     # the star scan's lookups grow with the stars, and an r-bounded code
     # holds at most r of them per word on average, where a random code holds
     # nearly n / 3
@@ -230,7 +230,7 @@ class TestScanPlan:
         assert _scan_plan(3, 10**9, 10**9, 4, 4) == 1
         assert _scan_plan(40, 10**9, 13 * 10**9, 1, 8) == 1
         q11 = triple_construction(11, one_bounded(66))
-        assert plan_of(q11, 64, 64) == (_scan_stars, 22)
+        assert parts_of(q11, 64, 64) == 22
 
     def test_pool_is_capped_by_the_cpus_this_process_may_run_on(self, monkeypatch):
         # as under taskset -c 0 on a machine of 64 CPUs
@@ -256,7 +256,7 @@ class TestScanPlan:
         # less than 2 * _MIN_PROCESS_WORK of work
         small = [one_bounded(66), one_bounded(120), triple_construction(5, one_bounded(15))]
         for code in [*small, dense_code(200, 50, 14), dense_code(200, 100, 7)]:
-            assert plan_of(code, 64, 64)[1] == 1
+            assert parts_of(code, 64, 64) == 1
 
     def test_only_the_benchmark_subset_repays_a_pool(self):
         # the codes perfbench verifies: the q = 7 code and planted violations
@@ -271,11 +271,11 @@ class TestScanPlan:
         ]
         assert {(len(code), code.n) for code in planted} == {(393, 90), (393, 92)}
         for code in subsets:
-            assert plan_of(code, 2, 2) == (_scan_stars, 2)
+            assert parts_of(code, 2, 2) == 2
         for code in [q7, *planted]:
-            assert plan_of(code, 2, 2) == (_scan_stars, 1)
+            assert parts_of(code, 2, 2) == 1
         for code in [q7, *planted, *subsets]:
-            assert plan_of(code, 2, 1) == plan_of(code, 1, 2) == (_scan_stars, 1)
+            assert parts_of(code, 2, 1) == parts_of(code, 1, 2) == 1
 
     def test_early_violation_opens_no_pool(self, tmp_path, monkeypatch, capsys):
         # perfbench's planted-early code at --workers 2 on two CPUs
