@@ -274,6 +274,21 @@ class Code(_Frozen):
             n = words[0].n
         return cls(n=n, codewords=tuple(words), comments=tuple(comments))
 
+    def _subcode(self, words) -> "Code":
+        """The code of `words`, a sublist of self.codewords in their order.
+
+        Such words are sorted, distinct and of length n already, so the sort
+        and the checks of __init__ are skipped, and r_bound is self's unless
+        self has none.  The subcode has no comments.
+        """
+        r_bound = self.r_bound if words else None
+        if r_bound is None and words:
+            two_counts = {w.count_twos for w in words}
+            r_bound = two_counts.pop() if len(two_counts) == 1 else None
+        code = Code.__new__(Code)
+        code.__dict__.update(n=self.n, codewords=tuple(words), comments=(), r_bound=r_bound)
+        return code
+
     def __len__(self) -> int:
         return len(self.codewords)
 
@@ -459,6 +474,11 @@ _STAR_LOOKUP_WORK = 3_300
 _MIN_PROCESS_WORK = 4 * 10**9
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, which taskset can make fewer than the machine has."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _scan_plan(m: int, n: int, stars: int, workers: int, cpus: int) -> int:
     """How many processes scan m words of length n, `stars` stars in all.
 
@@ -489,17 +509,18 @@ def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
         raise ValueError(f"workers must be at least 1, got {workers}")
     m, n = len(code), code.n
     joined = "".join(code.strings())
-    # the CPUs this process may run on, which taskset can make fewer than
-    # the machine has
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    parts = _scan_plan(m, n, sum(map(min, _column_counts(joined, n))), workers, cpus)
+    parts = _scan_plan(m, n, sum(map(min, _column_counts(joined, n))), workers, _usable_cpus())
     if parts == 1:
         found = [_scan_stars(joined, n, range(m - 2))]
     else:
         # the pool's modules cost every CLI start ~15 ms, so import on use
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parts) as pool:
+        # forked workers start at once, as the search's do; Python 3.14 would
+        # otherwise start them from a forkserver
+        context = multiprocessing.get_context("fork") if hasattr(os, "fork") else None
+        with ProcessPoolExecutor(max_workers=parts, mp_context=context) as pool:
             scans = [pool.submit(_scan_stars, joined, n, range(p, m - 2, parts)) for p in range(parts)]
             found = [scan.result() for scan in scans]
     witness = min((t for t in found if t is not None), default=None)
@@ -697,14 +718,14 @@ def prune(code: Code) -> list[Code]:
     with at most 2 codewords; ending larger proves the input was not
     trifferent and raises NotTrifferentError.
     """
-    chain = [Code(code.n, code.codewords)]
+    chain = [code._subcode(code.codewords)]
     current = list(code.codewords)
     for coord in range(code.n):
         column = "".join([w.string[coord] for w in current])
         counts = [column.count(s) for s in "012"]
         least = "012"[counts.index(min(counts))]  # index() takes the smallest symbol on ties
         current = [w for w, s in zip(current, column) if s != least]
-        chain.append(Code(code.n, tuple(current)))
+        chain.append(chain[-1]._subcode(current))
     if len(current) > 2:
         raise NotTrifferentError(
             f"pruning left {len(current)} codewords; a trifferent code ends with at most 2"

@@ -15,6 +15,15 @@ rule, the config that is hashed, the oracle cap, one universe build that the
 oracle reuses, the engine (skipped for the layers r = 0 and r = n, whose
 answer is known), core.verify_trifferent on every triple of the best code,
 and the certificate.
+
+The engine may run in several processes (_branch_and_bound): once the tree
+has shown itself large, it forks, and the subtrees rooted at three chosen
+words are dealt round-robin to the processes, as the verifier deals rows.
+The parent takes a child's result for a subtree only when its incumbent at
+that subtree's place in the depth-first order is the one the child had at
+the fork.  A subtree's run depends only on its prefix, its pool, that
+incumbent and the budget left, so nodes, codes and certificates are those
+of one process, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import marshal
 import os
 from typing import NamedTuple
 
@@ -30,6 +40,7 @@ from .core import (
     Codeword,
     NotTrifferentError,
     OracleDisagreementError,
+    _usable_cpus,
     count_A_r,
     format_triff,
     is_trifferent_triple,
@@ -203,13 +214,54 @@ def _pair_compat_masks(universe: list[Codeword]) -> list[list[int]]:
     return compat
 
 
+# A search forks its workers only once it has examined this many candidates
+# (iterations of the candidate loop), about 40 ms of work on a 2-vCPU Xeon:
+# more than the whole n = 4 tree (18.7k) or (5, 2) layer (27.7k) examines,
+# and some 20 times the 2 ms it takes to fork a child, read its first result
+# and reap it.  (6, 1) examines 162k candidates, the T(5) search 971k in its
+# first 200,000 nodes.
+_MIN_FORK_WORK = 40_000
+# Subtrees are dealt at the nodes with this many chosen words: with the pin,
+# the pin and two more.
+_DEAL_DEPTH = 3
+
+
 def _branch_and_bound(
     universe: list[Codeword],
     symmetry: bool,
     bound: str,
     budget: int | None,
+    workers: int = 1,
 ):
-    """Returns (best_size, best_indices, nodes, completed)."""
+    """Returns (best_size, best_indices, nodes, completed).
+
+    The search runs in one process until it has examined _MIN_FORK_WORK
+    candidates.  With k = min(workers, usable CPUs) > 1 it then forks k - 1
+    children at the next node of depth _DEAL_DEPTH, and each process goes
+    on with the same depth-first walk.  Counted from the fork, subtree i
+    (rooted at such a node) belongs to process i mod k.  A child searches
+    its subtrees under the incumbent it had at the fork, and for each one
+    sends its node count and its improvements, each as (node offset,
+    chosen words), down a pipe.  The parent searches its own subtrees and
+    reads the children's in depth-first order.
+
+    Why the answer and the node count are those of one process: a
+    subtree's run depends only on its prefix, its pool, the incumbent's
+    size when it starts and the budget left.  The parent uses a child's
+    result only when its own incumbent, at that subtree's place in the
+    depth-first order, still has the size it had at the fork.  The walk of
+    the tree's top depends on nothing but that size, so both processes
+    have then met the same subtrees, and the result is what the parent
+    would have found itself.  A budget that runs out inside the subtree
+    keeps the improvements made up to the budget and counts budget + 1
+    nodes, as one process does.  A child counts only the nodes it walks,
+    never more than the parent has walked by the same point, so a child
+    whose budget runs out has searched at least as far as the parent's
+    cut.  When the incumbent has grown since the fork, the parent kills
+    its children, searches that subtree itself and forks again at the
+    next one.  When a child has died, the parent kills the others and
+    searches the rest alone.
+    """
     m = len(universe)
     by_support = bound == "support"
     compat = _pair_compat_masks(universe)
@@ -227,12 +279,22 @@ def _branch_and_bound(
     rows: list[list[int]] = []  # compat rows of the chosen words
 
     best_size = 0
-    best: list[int] = []
+    grown: list[tuple[int, list[int]]] = []  # (node, chosen) at each improvement
     nodes = 0
     exhausted = False
+    examined = 0  # candidates examined, counted while counting is on
+
+    procs = min(workers, _usable_cpus()) if hasattr(os, "fork") else 1
+    split = _DEAL_DEPTH - 1 if procs > 1 else -1  # the depth whose children are dealt
+    counting = procs > 1  # until the first fork
+    me = 0  # 0 in the parent, p in child p
+    fork_size = None  # the incumbent's size at the fork, None while unforked
+    dealt = 0  # subtrees met since the fork
+    children: list[tuple[int, object]] = []  # the parent's (pid, pipe) per child
+    to_parent = None  # a child's pipe
 
     def rec(chosen: list[int], pool: int) -> None:
-        nonlocal best_size, best, nodes, exhausted
+        nonlocal best_size, nodes, exhausted, examined
         nodes += 1
         if budget is not None and nodes > budget:
             exhausted = True
@@ -240,10 +302,11 @@ def _branch_and_bound(
         depth = len(chosen)
         if depth > best_size:
             best_size = depth
-            best = chosen.copy()
+            grown.append((nodes, chosen.copy()))
         if by_support:
             # the classes the pool still meets, with the room each has left
             live = [(2 - u, S) for u, S in zip(used, supports) if pool & S]
+        descend = deal if depth == split else rec
         rem = pool
         while rem and depth + rem.bit_count() > best_size:
             lsb = rem & -rem
@@ -267,22 +330,105 @@ def _branch_and_bound(
                 rows.append(compat[c])
                 if by_support:
                     used[support_of[c]] += 1
-                rec(chosen, new_pool)
+                descend(chosen, new_pool)
                 if by_support:
                     used[support_of[c]] -= 1
                 rows.pop()
                 chosen.pop()
             if exhausted:
                 return
+        if counting:
+            examined += pool.bit_count() - rem.bit_count()
+
+    def deal(chosen: list[int], pool: int) -> None:
+        """Search, skip, or take from a child the subtree rooted at chosen."""
+        nonlocal best_size, nodes, exhausted, fork_size, dealt, procs
+        if fork_size is None and procs > 1 and examined >= _MIN_FORK_WORK:
+            fork()
+        if fork_size is None:
+            rec(chosen, pool)
+            return
+        owner = dealt % procs
+        dealt += 1
+        if me:
+            if owner == me:
+                base, first = nodes, len(grown)
+                rec(chosen, pool)
+                found = [(at - base, words) for at, words in grown[first:]]
+                to_parent.write(marshal.dumps((nodes - base, found)))
+                to_parent.flush()
+                del grown[first:]
+                best_size = fork_size
+            return
+        if owner:
+            if best_size == fork_size:
+                try:
+                    count, found = marshal.load(children[owner - 1][1])
+                except (EOFError, ValueError):  # the child died: go on alone
+                    procs = 1
+                else:
+                    base = nodes
+                    for at, words in found:
+                        if budget is not None and base + at > budget:
+                            break
+                        best_size = len(words)
+                        grown.append((base + at, words))
+                    nodes = base + count
+                    if budget is not None and nodes > budget:
+                        nodes, exhausted = budget + 1, True
+                    return
+            stop()
+            fork_size = None
+        rec(chosen, pool)
+
+    def fork() -> None:
+        """Fork procs - 1 children; without the means to, search in one process."""
+        nonlocal me, fork_size, dealt, to_parent, procs, counting
+        counting = False
+        for p in range(1, procs):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: go on in this one alone
+                os.close(read_end)
+                os.close(write_end)
+                stop()
+                procs = 1
+                return
+            if pid == 0:
+                os.close(read_end)
+                me, to_parent = p, open(write_end, "wb")
+                break
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        fork_size, dealt = best_size, 0
+
+    def stop() -> None:
+        """Kill and reap every child."""
+        if not children:
+            return
+        import signal  # costs every search start ~1 ms, so import on use
+
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+        children.clear()
 
     full = (1 << m) - 1
-    if symmetry:
-        rows.append(compat[0])
-        if by_support:
-            used[support_of[0]] += 1
-        rec([0], full & ~1)
-    else:
-        rec([], full)
+    try:
+        if symmetry:
+            rows.append(compat[0])
+            if by_support:
+                used[support_of[0]] += 1
+            rec([0], full & ~1)
+        else:
+            rec([], full)
+    finally:
+        if me:  # a child never returns to the caller
+            os._exit(0)
+        stop()
+    best = grown[-1][1] if grown else []
     return best_size, best, nodes, not exhausted
 
 
@@ -295,16 +441,20 @@ def _solve(
     bound: str,
     oracle_check: bool,
     oracle_cap: int,
+    workers: int,
 ) -> SearchCertificate:
     """Certificate of the largest code over the universe that build() returns.
 
     base holds kind, n, and r for a layer; size is the universe's size.
     build runs only when the tree is searched, and the oracle reuses what it
     returned.  No certificate carries a code that failed the triple check,
-    whatever the pair masks said.
+    whatever the pair masks said.  workers changes how fast the search runs,
+    never its result, so it stays out of the config.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive node count, got {budget}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if bound not in ("size", "support"):
         raise ValueError(f"unknown bound rule {bound!r}")
     n, r = base["n"], base.get("r")
@@ -326,7 +476,7 @@ def _solve(
         universe = a_r_universe(n, r) if oracle_check else None
     else:
         universe = build()
-        _, best, nodes, completed = _branch_and_bound(universe, symmetry, bound, budget)
+        _, best, nodes, completed = _branch_and_bound(universe, symmetry, bound, budget, workers)
         code = Code(n, tuple(universe[i] for i in best))
     check = verify_trifferent(code)
     if not check.ok:
@@ -360,6 +510,7 @@ def max_trifferent(
     bound: str = "size",
     oracle_check: bool = False,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
+    workers: int = 1,
 ) -> SearchCertificate:
     """Exact maximum trifferent code over all of {0,1,2}^n.
 
@@ -368,6 +519,8 @@ def max_trifferent(
     trifference, and the all-zeros word is the lexicographic minimum, so the
     lexicographically smallest optimum survives the restriction.  Raise cap
     explicitly to search beyond n = 4.
+    The search may run in up to `workers` processes, at most one per usable
+    CPU; the certificate is the same for any count.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -377,7 +530,7 @@ def max_trifferent(
         )
     return _solve(
         {"kind": "max", "n": n}, 3**n, lambda: full_universe(n),
-        budget, symmetry, bound, oracle_check, oracle_cap,
+        budget, symmetry, bound, oracle_check, oracle_cap, workers,
     )
 
 
@@ -390,6 +543,7 @@ def max_r_bounded(
     bound: str = "support",
     oracle_check: bool = False,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
+    workers: int = 1,
 ) -> SearchCertificate:
     """Exact maximum trifferent code among words with exactly r twos.
 
@@ -397,6 +551,8 @@ def max_r_bounded(
     answer is 2 immediately; r = n leaves the single all-twos word.  The
     symmetry pin is the lexicographic minimum of the layer, justified by
     coordinate permutations combined with 0/1 swaps.
+    The search may run in up to `workers` processes, at most one per usable
+    CPU; the certificate is the same for any count.
     """
     size = count_A_r(n, r)
 
@@ -410,7 +566,7 @@ def max_r_bounded(
 
     return _solve(
         {"kind": "max-r", "n": n, "r": r}, size, build,
-        budget, symmetry, bound, oracle_check, oracle_cap,
+        budget, symmetry, bound, oracle_check, oracle_cap, workers,
     )
 
 

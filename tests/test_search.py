@@ -1,10 +1,15 @@
+import hashlib
 import json
+import marshal
+import os
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LAYER_PAIRS
+from trifference import search
 from trifference.core import (
     Codeword,
     NotTrifferentError,
@@ -432,4 +437,154 @@ def test_certificate_json_is_pinned(solve, n, r, size, status, nodes, oracle, co
 )
 def test_unknown_bound_rule_rejected_on_every_path(solve):
     with pytest.raises(ValueError, match="unknown bound rule 'bogus'"):
+        solve()
+
+
+# ---------------------------------------------------------------------------
+# Workers: past a fork, the search deals its depth-3 subtrees round-robin to
+# forked children, and no certificate depends on how many there are.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def dealing(monkeypatch):
+    """Fork at the first subtree, and run k processes at workers=k on any machine."""
+    monkeypatch.setattr(search, "_MIN_FORK_WORK", 0)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 3)
+
+
+def _blob(cert) -> str:
+    return json.dumps(certificate_to_json(cert), sort_keys=True)
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# With the fork at the first subtree, the budget runs out inside a child's
+# subtree at 77,777 nodes for 2 workers, and for 3 at 1,000 nodes and at the
+# 200,000 of the digest test below.
+SOLVES = {
+    **{
+        f"max-r-{n}-{r}": (lambda w, n=n, r=r: max_r_bounded(n, r, workers=w))
+        for n, r in LAYER_PAIRS
+        if (n, r) != (6, 3)
+    },
+    "max-3": lambda w: max_trifferent(3, workers=w),
+    "max-4": lambda w: max_trifferent(4, workers=w),
+    "max-3-no-symmetry": lambda w: max_trifferent(3, symmetry=False, workers=w),
+    "max-4-no-symmetry": lambda w: max_trifferent(4, symmetry=False, workers=w),
+    "max-5-budget-1000": lambda w: max_trifferent(5, cap=5, budget=1_000, workers=w),
+    "max-5-budget-77777": lambda w: max_trifferent(5, cap=5, budget=77_777, workers=w),
+}
+
+
+@pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES.keys())
+def test_certificate_is_the_same_at_every_worker_count(dealing, solve):
+    want = _blob(solve(1))
+    for workers in (2, 3):
+        assert _blob(solve(workers)) == want
+    _no_child_left()
+
+
+# sha256 of each certificate's JSON as one process printed it; these runs
+# take seconds, so the test does not repeat them at workers=1
+@pytest.mark.parametrize(
+    "solve, digest",
+    [
+        (
+            lambda w: max_r_bounded(6, 3, workers=w),
+            "639beead193eefbffa0b35d40a26f16d7621cb7f02c731dd8c5adfe918f44ff2",
+        ),
+        (
+            lambda w: max_r_bounded(6, 1, bound="size", workers=w),
+            "36f90b17fddb1747052b64fc2261d057c7737f1b9ae722f9684be90306bee5da",
+        ),
+        (
+            lambda w: max_trifferent(5, cap=5, budget=200_000, workers=w),
+            "1cc899654b6bf899626ee8659485671316931f82cef1795a90effd882dc2cfe3",
+        ),
+    ],
+    ids=["max-r-6-3", "max-r-6-1-size", "max-5-budget-200000"],
+)
+def test_long_runs_print_the_one_process_certificate(dealing, solve, digest):
+    for workers in (2, 3):
+        assert hashlib.sha256(_blob(solve(workers)).encode()).hexdigest() == digest
+
+
+def test_a_stale_result_is_searched_again(dealing, monkeypatch):
+    # the n = 4 incumbent grows after the first fork, so the parent finds a
+    # child's result made under a smaller one, kills the children and forks again
+    want = _blob(max_trifferent(4))
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    assert _blob(max_trifferent(4, workers=2)) == want
+    assert len(forked) > 1
+
+
+def test_a_dead_child_costs_time_not_the_result(dealing, monkeypatch):
+    want = _blob(max_trifferent(4))
+
+    def die(value):
+        raise RuntimeError("child died")
+
+    monkeypatch.setattr(marshal, "dumps", die)  # each child dies at its first result
+    assert _blob(max_trifferent(4, workers=2)) == want
+    _no_child_left()
+
+
+def test_no_child_outlives_a_search(dealing, monkeypatch):
+    _no_child_left()
+    assert max_trifferent(4, workers=3).status == OPTIMAL
+    _no_child_left()
+    assert max_trifferent(5, cap=5, budget=5_000, workers=3).status == LOWER_BOUND
+    _no_child_left()
+
+    def interrupted(pipe):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(marshal, "load", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        max_trifferent(4, workers=3)
+    _no_child_left()
+
+
+def test_small_searches_never_fork(monkeypatch):
+    # a fork that fails leaves the search in one process, with the same result
+    tried = []
+
+    def failed_fork():
+        tried.append(1)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", failed_fork)
+    for solve in (
+        lambda: max_trifferent(3, workers=2),
+        lambda: max_trifferent(4, workers=2),
+        lambda: max_r_bounded(4, 1, workers=2),
+        lambda: max_r_bounded(5, 2, workers=2),
+    ):
+        solve()
+    assert not tried
+    assert _blob(max_r_bounded(6, 1, workers=2)) == _blob(max_r_bounded(6, 1))
+    assert tried == [1]
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [lambda: max_trifferent(3, workers=0), lambda: max_r_bounded(4, 1, workers=0)],
+    ids=["max", "max-r"],
+)
+def test_workers_below_one_rejected(solve):
+    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
         solve()
