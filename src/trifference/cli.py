@@ -118,7 +118,6 @@ def _cmd_search(args):
         symmetry=not args.no_symmetry,
         oracle_check=args.oracle,
         oracle_cap=args.oracle_cap,
-        workers=core._usable_cpus(),  # the result is the same for any count
         **own,
     )
     body = search.certificate_to_json(cert)

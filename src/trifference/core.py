@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from functools import reduce
 from operator import getitem, or_
 from random import Random
@@ -518,8 +519,9 @@ def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
         from concurrent.futures import ProcessPoolExecutor
 
         # forked workers start at once, as the search's do; Python 3.14 would
-        # otherwise start them from a forkserver
-        context = multiprocessing.get_context("fork") if hasattr(os, "fork") else None
+        # otherwise start them from a forkserver on Linux.  Elsewhere the
+        # default stays: macOS spawns, as forking can crash its frameworks
+        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
         with ProcessPoolExecutor(max_workers=parts, mp_context=context) as pool:
             scans = [pool.submit(_scan_stars, joined, n, range(p, m - 2, parts)) for p in range(parts)]
             found = [scan.result() for scan in scans]

@@ -23,7 +23,7 @@ The parent takes a child's result for a subtree only when its incumbent at
 that subtree's place in the depth-first order is the one the child had at
 the fork.  A subtree's run depends only on its prefix, its pool, that
 incumbent and the budget left, so nodes, codes and certificates are those
-of one process, whatever the worker count.
+of one process, whatever the process count.
 """
 
 from __future__ import annotations
@@ -214,13 +214,14 @@ def _pair_compat_masks(universe: list[Codeword]) -> list[list[int]]:
     return compat
 
 
-# A search forks its workers only once it has examined this many candidates
-# (iterations of the candidate loop), about 40 ms of work on a 2-vCPU Xeon:
-# more than the whole n = 4 tree (18.7k) or (5, 2) layer (27.7k) examines,
-# and some 20 times the 2 ms it takes to fork a child, read its first result
-# and reap it.  (6, 1) examines 162k candidates, the T(5) search 971k in its
-# first 200,000 nodes.
-_MIN_FORK_WORK = 40_000
+# A search forks only once the subtrees it has searched add up to this much
+# work, each its node count times the size of its root's pool, a bound on
+# the candidates its nodes examine.  The whole n = 4 tree adds up to 63.8k
+# and the (5, 2) layer to 79.9k, so they never fork.  The (6, 1) layer
+# (376k in all) and the T(5) tree (12.5M in its first 200,000 nodes) reach
+# it 2,000 to 3,000 nodes in, a few tens of ms on a 2-vCPU Xeon, against
+# the 2 ms it takes to fork a child, read its first result and reap it.
+_MIN_FORK_WORK = 120_000
 # Subtrees are dealt at the nodes with this many chosen words: with the pin,
 # the pin and two more.
 _DEAL_DEPTH = 3
@@ -231,19 +232,21 @@ def _branch_and_bound(
     symmetry: bool,
     bound: str,
     budget: int | None,
-    workers: int = 1,
 ):
     """Returns (best_size, best_indices, nodes, completed).
 
-    The search runs in one process until it has examined _MIN_FORK_WORK
-    candidates.  With k = min(workers, usable CPUs) > 1 it then forks k - 1
-    children at the next node of depth _DEAL_DEPTH, and each process goes
-    on with the same depth-first walk.  Counted from the fork, subtree i
-    (rooted at such a node) belongs to process i mod k.  A child searches
-    its subtrees under the incumbent it had at the fork, and for each one
-    sends its node count and its improvements, each as (node offset,
-    chosen words), down a pipe.  The parent searches its own subtrees and
-    reads the children's in depth-first order.
+    With k > 1 CPUs that this process may run on (_usable_cpus), the
+    search runs in one process until the subtrees rooted at the nodes of
+    depth _DEAL_DEPTH that it has searched add up to _MIN_FORK_WORK.  At
+    the next such node it forks k - 1 children, and each process goes on
+    with the same depth-first walk.  Counted from the fork, subtree i
+    belongs to process i mod k.  A child searches its subtrees under the
+    incumbent it had at the fork, and for each one sends its node count
+    and its improvements, each as (node offset, chosen words), down a pipe
+    that only the parent reads.  The parent searches its own subtrees and
+    reads the children's in depth-first order.  Only the nodes above the
+    subtrees' roots hand their children to this dealing; every other node
+    searches its children itself, as in one process.
 
     Why the answer and the node count are those of one process: a
     subtree's run depends only on its prefix, its pool, the incumbent's
@@ -282,71 +285,76 @@ def _branch_and_bound(
     grown: list[tuple[int, list[int]]] = []  # (node, chosen) at each improvement
     nodes = 0
     exhausted = False
-    examined = 0  # candidates examined, counted while counting is on
 
-    procs = min(workers, _usable_cpus()) if hasattr(os, "fork") else 1
-    split = _DEAL_DEPTH - 1 if procs > 1 else -1  # the depth whose children are dealt
-    counting = procs > 1  # until the first fork
+    procs = _usable_cpus() if hasattr(os, "fork") else 1
+    work = 0  # the searched subtrees' work, counted until the first fork
     me = 0  # 0 in the parent, p in child p
     fork_size = None  # the incumbent's size at the fork, None while unforked
     dealt = 0  # subtrees met since the fork
     children: list[tuple[int, object]] = []  # the parent's (pid, pipe) per child
     to_parent = None  # a child's pipe
 
-    def rec(chosen: list[int], pool: int) -> None:
-        nonlocal best_size, nodes, exhausted, examined
-        nodes += 1
-        if budget is not None and nodes > budget:
-            exhausted = True
-            return
-        depth = len(chosen)
-        if depth > best_size:
-            best_size = depth
-            grown.append((nodes, chosen.copy()))
-        if by_support:
-            # the classes the pool still meets, with the room each has left
-            live = [(2 - u, S) for u, S in zip(used, supports) if pool & S]
-        descend = deal if depth == split else rec
-        rem = pool
-        while rem and depth + rem.bit_count() > best_size:
-            lsb = rem & -rem
-            c = lsb.bit_length() - 1
-            rem ^= lsb
-            new_pool = rem
-            for row in rows:
-                new_pool &= row[c]
-                if not new_pool:
-                    break
-            slack = new_pool.bit_count()
-            if by_support and depth + 1 + slack > best_size:
-                # the per-class slack is at most the pool's size, so it is
-                # counted only when the size alone does not prune
-                slack = 0
-                for room, S in live:
-                    k = (new_pool & S).bit_count()
-                    slack += k if k < room else room
-            if depth + 1 + slack > best_size:
-                chosen.append(c)
-                rows.append(compat[c])
-                if by_support:
-                    used[support_of[c]] += 1
-                descend(chosen, new_pool)
-                if by_support:
-                    used[support_of[c]] -= 1
-                rows.pop()
-                chosen.pop()
-            if exhausted:
+    def walker(below=None):
+        """The search of a node, which hands each child to below, or to itself."""
+
+        def rec(chosen: list[int], pool: int) -> None:
+            nonlocal best_size, nodes, exhausted
+            nodes += 1
+            if budget is not None and nodes > budget:
+                exhausted = True
                 return
-        if counting:
-            examined += pool.bit_count() - rem.bit_count()
+            depth = len(chosen)
+            if depth > best_size:
+                best_size = depth
+                grown.append((nodes, chosen.copy()))
+            if by_support:
+                # the classes the pool still meets, with the room each has left
+                live = [(2 - u, S) for u, S in zip(used, supports) if pool & S]
+            rem = pool
+            while rem and depth + rem.bit_count() > best_size:
+                lsb = rem & -rem
+                c = lsb.bit_length() - 1
+                rem ^= lsb
+                new_pool = rem
+                for row in rows:
+                    new_pool &= row[c]
+                    if not new_pool:
+                        break
+                slack = new_pool.bit_count()
+                if by_support and depth + 1 + slack > best_size:
+                    # the per-class slack is at most the pool's size, so it is
+                    # counted only when the size alone does not prune
+                    slack = 0
+                    for room, S in live:
+                        k = (new_pool & S).bit_count()
+                        slack += k if k < room else room
+                if depth + 1 + slack > best_size:
+                    chosen.append(c)
+                    rows.append(compat[c])
+                    if by_support:
+                        used[support_of[c]] += 1
+                    child(chosen, new_pool)
+                    if by_support:
+                        used[support_of[c]] -= 1
+                    rows.pop()
+                    chosen.pop()
+                if exhausted:
+                    return
+
+        child = below or rec
+        return rec
+
+    rec = walker()
 
     def deal(chosen: list[int], pool: int) -> None:
         """Search, skip, or take from a child the subtree rooted at chosen."""
-        nonlocal best_size, nodes, exhausted, fork_size, dealt, procs
-        if fork_size is None and procs > 1 and examined >= _MIN_FORK_WORK:
+        nonlocal best_size, nodes, exhausted, work, fork_size, dealt, procs
+        if fork_size is None and procs > 1 and work >= _MIN_FORK_WORK:
             fork()
         if fork_size is None:
+            base = nodes
             rec(chosen, pool)
+            work += (nodes - base) * pool.bit_count()
             return
         owner = dealt % procs
         dealt += 1
@@ -383,8 +391,7 @@ def _branch_and_bound(
 
     def fork() -> None:
         """Fork procs - 1 children; without the means to, search in one process."""
-        nonlocal me, fork_size, dealt, to_parent, procs, counting
-        counting = False
+        nonlocal me, fork_size, dealt, to_parent, procs
         for p in range(1, procs):
             read_end, write_end = os.pipe()
             try:
@@ -396,7 +403,12 @@ def _branch_and_bound(
                 procs = 1
                 return
             if pid == 0:
+                # the parent alone reads each pipe, so its death breaks
+                # every child's next write
                 os.close(read_end)
+                for _, pipe in children:
+                    pipe.close()
+                children.clear()
                 me, to_parent = p, open(write_end, "wb")
                 break
             os.close(write_end)
@@ -415,15 +427,22 @@ def _branch_and_bound(
             pipe.close()
         children.clear()
 
+    root = rec
+    if procs > 1:
+        # a walker per level above the subtrees' roots, the lowest handing
+        # its children to deal
+        root = deal
+        for _ in range(_DEAL_DEPTH - (1 if symmetry else 0)):
+            root = walker(root)
     full = (1 << m) - 1
     try:
         if symmetry:
             rows.append(compat[0])
             if by_support:
                 used[support_of[0]] += 1
-            rec([0], full & ~1)
+            root([0], full & ~1)
         else:
-            rec([], full)
+            root([], full)
     finally:
         if me:  # a child never returns to the caller
             os._exit(0)
@@ -441,20 +460,17 @@ def _solve(
     bound: str,
     oracle_check: bool,
     oracle_cap: int,
-    workers: int,
 ) -> SearchCertificate:
     """Certificate of the largest code over the universe that build() returns.
 
     base holds kind, n, and r for a layer; size is the universe's size.
     build runs only when the tree is searched, and the oracle reuses what it
     returned.  No certificate carries a code that failed the triple check,
-    whatever the pair masks said.  workers changes how fast the search runs,
-    never its result, so it stays out of the config.
+    whatever the pair masks said.  The engine's process count changes how
+    fast it runs, never its result, so it stays out of the config.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive node count, got {budget}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if bound not in ("size", "support"):
         raise ValueError(f"unknown bound rule {bound!r}")
     n, r = base["n"], base.get("r")
@@ -476,7 +492,7 @@ def _solve(
         universe = a_r_universe(n, r) if oracle_check else None
     else:
         universe = build()
-        _, best, nodes, completed = _branch_and_bound(universe, symmetry, bound, budget, workers)
+        _, best, nodes, completed = _branch_and_bound(universe, symmetry, bound, budget)
         code = Code(n, tuple(universe[i] for i in best))
     check = verify_trifferent(code)
     if not check.ok:
@@ -510,7 +526,6 @@ def max_trifferent(
     bound: str = "size",
     oracle_check: bool = False,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
-    workers: int = 1,
 ) -> SearchCertificate:
     """Exact maximum trifferent code over all of {0,1,2}^n.
 
@@ -519,8 +534,8 @@ def max_trifferent(
     trifference, and the all-zeros word is the lexicographic minimum, so the
     lexicographically smallest optimum survives the restriction.  Raise cap
     explicitly to search beyond n = 4.
-    The search may run in up to `workers` processes, at most one per usable
-    CPU; the certificate is the same for any count.
+    A large search runs in one process per usable CPU; the certificate is
+    the same for any count.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -530,7 +545,7 @@ def max_trifferent(
         )
     return _solve(
         {"kind": "max", "n": n}, 3**n, lambda: full_universe(n),
-        budget, symmetry, bound, oracle_check, oracle_cap, workers,
+        budget, symmetry, bound, oracle_check, oracle_cap,
     )
 
 
@@ -543,7 +558,6 @@ def max_r_bounded(
     bound: str = "support",
     oracle_check: bool = False,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
-    workers: int = 1,
 ) -> SearchCertificate:
     """Exact maximum trifferent code among words with exactly r twos.
 
@@ -551,8 +565,8 @@ def max_r_bounded(
     answer is 2 immediately; r = n leaves the single all-twos word.  The
     symmetry pin is the lexicographic minimum of the layer, justified by
     coordinate permutations combined with 0/1 swaps.
-    The search may run in up to `workers` processes, at most one per usable
-    CPU; the certificate is the same for any count.
+    A large search runs in one process per usable CPU; the certificate is
+    the same for any count.
     """
     size = count_A_r(n, r)
 
@@ -566,7 +580,7 @@ def max_r_bounded(
 
     return _solve(
         {"kind": "max-r", "n": n, "r": r}, size, build,
-        budget, symmetry, bound, oracle_check, oracle_cap, workers,
+        budget, symmetry, bound, oracle_check, oracle_cap,
     )
 
 

@@ -1,14 +1,13 @@
 import pytest
 
 from trifference.constructions import one_bounded, triple_construction
-from trifference.core import _usable_cpus
 from trifference.search import max_r_bounded, max_trifferent
 
 
 @pytest.fixture(scope="session")
 def exact_unrestricted():
     """Certified maximum code sizes at tiny lengths, keyed by n."""
-    return {n: max_trifferent(n, workers=_usable_cpus()).best_size for n in (1, 2, 3, 4)}
+    return {n: max_trifferent(n).best_size for n in (1, 2, 3, 4)}
 
 
 # every layer small enough for the exhaustive oracle, plus the engine-only
@@ -25,8 +24,8 @@ LAYER_PAIRS = [
 
 @pytest.fixture(scope="session")
 def exact_layers():
-    """Certified maximum r-bounded sizes, keyed by (n, r), searched as the CLI does."""
-    return {(n, r): max_r_bounded(n, r, workers=_usable_cpus()).best_size for n, r in LAYER_PAIRS}
+    """Certified maximum r-bounded sizes, keyed by (n, r)."""
+    return {(n, r): max_r_bounded(n, r).best_size for n, r in LAYER_PAIRS}
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from trifference import core, search
+from trifference import search
 from trifference.cli import build_parser, run
 from trifference.core import read_triff
 
@@ -117,21 +117,6 @@ class TestSearch:
         assert out_json(capsys)["best_size"] == 6
         saved = json.loads(table.read_text())
         assert saved["entries"][0] == {"n": 3, "r": 1, "size": 6, "status": "optimal"}
-
-    def test_search_runs_on_every_usable_cpu(self, monkeypatch, capsys):
-        # the count reaches the engine, and the output does not show it
-        seen = []
-        engine = search._branch_and_bound
-
-        def spy(*args):
-            seen.append(args[-1])
-            return engine(*args)
-
-        monkeypatch.setattr(search, "_branch_and_bound", spy)
-        monkeypatch.setattr(core, "_usable_cpus", lambda: 5)
-        assert run(["search", "max", "--n", "3"]) == 0
-        assert seen == [5]
-        assert "workers" not in capsys.readouterr().out
 
     def test_oracle_flag(self, capsys):
         assert run(["search", "max", "--n", "2", "--oracle"]) == 0

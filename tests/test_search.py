@@ -441,16 +441,16 @@ def test_unknown_bound_rule_rejected_on_every_path(solve):
 
 
 # ---------------------------------------------------------------------------
-# Workers: past a fork, the search deals its depth-3 subtrees round-robin to
+# Processes: past a fork, the search deals its depth-3 subtrees round-robin to
 # forked children, and no certificate depends on how many there are.
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
-def dealing(monkeypatch):
-    """Fork at the first subtree, and run k processes at workers=k on any machine."""
+def cpus(monkeypatch):
+    """Fork at the first subtree; cpus(k) runs the searches in k processes."""
     monkeypatch.setattr(search, "_MIN_FORK_WORK", 0)
-    monkeypatch.setattr(search, "_usable_cpus", lambda: 3)
+    return lambda k: monkeypatch.setattr(search, "_usable_cpus", lambda: k)
 
 
 def _blob(cert) -> str:
@@ -463,59 +463,63 @@ def _no_child_left() -> None:
 
 
 # With the fork at the first subtree, the budget runs out inside a child's
-# subtree at 77,777 nodes for 2 workers, and for 3 at 1,000 nodes and at the
+# subtree at 77,777 nodes in 2 processes, and in 3 at 1,000 nodes and at the
 # 200,000 of the digest test below.
 SOLVES = {
     **{
-        f"max-r-{n}-{r}": (lambda w, n=n, r=r: max_r_bounded(n, r, workers=w))
+        f"max-r-{n}-{r}": (lambda n=n, r=r: max_r_bounded(n, r))
         for n, r in LAYER_PAIRS
         if (n, r) != (6, 3)
     },
-    "max-3": lambda w: max_trifferent(3, workers=w),
-    "max-4": lambda w: max_trifferent(4, workers=w),
-    "max-3-no-symmetry": lambda w: max_trifferent(3, symmetry=False, workers=w),
-    "max-4-no-symmetry": lambda w: max_trifferent(4, symmetry=False, workers=w),
-    "max-5-budget-1000": lambda w: max_trifferent(5, cap=5, budget=1_000, workers=w),
-    "max-5-budget-77777": lambda w: max_trifferent(5, cap=5, budget=77_777, workers=w),
+    "max-3": lambda: max_trifferent(3),
+    "max-4": lambda: max_trifferent(4),
+    "max-3-no-symmetry": lambda: max_trifferent(3, symmetry=False),
+    "max-4-no-symmetry": lambda: max_trifferent(4, symmetry=False),
+    "max-5-budget-1000": lambda: max_trifferent(5, cap=5, budget=1_000),
+    "max-5-budget-77777": lambda: max_trifferent(5, cap=5, budget=77_777),
 }
 
 
 @pytest.mark.parametrize("solve", SOLVES.values(), ids=SOLVES.keys())
-def test_certificate_is_the_same_at_every_worker_count(dealing, solve):
-    want = _blob(solve(1))
-    for workers in (2, 3):
-        assert _blob(solve(workers)) == want
+def test_certificate_is_the_same_in_any_number_of_processes(cpus, solve):
+    cpus(1)
+    want = _blob(solve())
+    for k in (2, 3):
+        cpus(k)
+        assert _blob(solve()) == want
     _no_child_left()
 
 
 # sha256 of each certificate's JSON as one process printed it; these runs
-# take seconds, so the test does not repeat them at workers=1
+# take seconds, so the test does not repeat them in one process
 @pytest.mark.parametrize(
     "solve, digest",
     [
         (
-            lambda w: max_r_bounded(6, 3, workers=w),
+            lambda: max_r_bounded(6, 3),
             "639beead193eefbffa0b35d40a26f16d7621cb7f02c731dd8c5adfe918f44ff2",
         ),
         (
-            lambda w: max_r_bounded(6, 1, bound="size", workers=w),
+            lambda: max_r_bounded(6, 1, bound="size"),
             "36f90b17fddb1747052b64fc2261d057c7737f1b9ae722f9684be90306bee5da",
         ),
         (
-            lambda w: max_trifferent(5, cap=5, budget=200_000, workers=w),
+            lambda: max_trifferent(5, cap=5, budget=200_000),
             "1cc899654b6bf899626ee8659485671316931f82cef1795a90effd882dc2cfe3",
         ),
     ],
     ids=["max-r-6-3", "max-r-6-1-size", "max-5-budget-200000"],
 )
-def test_long_runs_print_the_one_process_certificate(dealing, solve, digest):
-    for workers in (2, 3):
-        assert hashlib.sha256(_blob(solve(workers)).encode()).hexdigest() == digest
+def test_long_runs_print_the_one_process_certificate(cpus, solve, digest):
+    for k in (2, 3):
+        cpus(k)
+        assert hashlib.sha256(_blob(solve()).encode()).hexdigest() == digest
 
 
-def test_a_stale_result_is_searched_again(dealing, monkeypatch):
+def test_a_stale_result_is_searched_again(cpus, monkeypatch):
     # the n = 4 incumbent grows after the first fork, so the parent finds a
     # child's result made under a smaller one, kills the children and forks again
+    cpus(1)
     want = _blob(max_trifferent(4))
     forked = []
     fork = os.fork
@@ -527,26 +531,30 @@ def test_a_stale_result_is_searched_again(dealing, monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    assert _blob(max_trifferent(4, workers=2)) == want
+    cpus(2)
+    assert _blob(max_trifferent(4)) == want
     assert len(forked) > 1
 
 
-def test_a_dead_child_costs_time_not_the_result(dealing, monkeypatch):
+def test_a_dead_child_costs_time_not_the_result(cpus, monkeypatch):
+    cpus(1)
     want = _blob(max_trifferent(4))
 
     def die(value):
         raise RuntimeError("child died")
 
     monkeypatch.setattr(marshal, "dumps", die)  # each child dies at its first result
-    assert _blob(max_trifferent(4, workers=2)) == want
+    cpus(2)
+    assert _blob(max_trifferent(4)) == want
     _no_child_left()
 
 
-def test_no_child_outlives_a_search(dealing, monkeypatch):
+def test_no_child_outlives_a_search(cpus, monkeypatch):
+    cpus(3)
     _no_child_left()
-    assert max_trifferent(4, workers=3).status == OPTIMAL
+    assert max_trifferent(4).status == OPTIMAL
     _no_child_left()
-    assert max_trifferent(5, cap=5, budget=5_000, workers=3).status == LOWER_BOUND
+    assert max_trifferent(5, cap=5, budget=5_000).status == LOWER_BOUND
     _no_child_left()
 
     def interrupted(pipe):
@@ -554,12 +562,51 @@ def test_no_child_outlives_a_search(dealing, monkeypatch):
 
     monkeypatch.setattr(marshal, "load", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        max_trifferent(4, workers=3)
+        max_trifferent(4)
+    _no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists a child's files in /proc")
+def test_only_the_parent_reads_a_childs_pipe(cpus, monkeypatch):
+    # no child holds a sibling's pipe open, so a parent killed outright
+    # breaks every child's next write, and no child outlives it for long
+    cpus(3)
+    made, pids, held = [], [], {}
+    pipe, fork, load = os.pipe, os.fork, marshal.load
+
+    def recorded_pipe():
+        ends = pipe()
+        made.append(os.fstat(ends[0]).st_ino)
+        return ends
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def load_then_look(file):
+        result = load(file)  # the child has sent a result, so it is past its set-up
+        k = made.index(os.fstat(file.fileno()).st_ino)
+        if k not in held:
+            fds = f"/proc/{pids[k]}/fd"
+            links = {os.readlink(f"{fds}/{fd}") for fd in os.listdir(fds)}
+            held[k] = [i for i, ino in enumerate(made) if f"pipe:[{ino}]" in links]
+        return result
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(marshal, "load", load_then_look)
+    max_trifferent(5, cap=5, budget=20_000)
+    assert held == {k: [k] for k in held}
+    assert any(k % 2 for k in held)  # a second child, forked after a sibling
     _no_child_left()
 
 
 def test_small_searches_never_fork(monkeypatch):
     # a fork that fails leaves the search in one process, with the same result
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+    want = _blob(max_r_bounded(6, 1))
     tried = []
 
     def failed_fork():
@@ -569,22 +616,12 @@ def test_small_searches_never_fork(monkeypatch):
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", failed_fork)
     for solve in (
-        lambda: max_trifferent(3, workers=2),
-        lambda: max_trifferent(4, workers=2),
-        lambda: max_r_bounded(4, 1, workers=2),
-        lambda: max_r_bounded(5, 2, workers=2),
+        lambda: max_trifferent(3),
+        lambda: max_trifferent(4),
+        lambda: max_r_bounded(4, 1),
+        lambda: max_r_bounded(5, 2),
     ):
         solve()
     assert not tried
-    assert _blob(max_r_bounded(6, 1, workers=2)) == _blob(max_r_bounded(6, 1))
+    assert _blob(max_r_bounded(6, 1)) == want
     assert tried == [1]
-
-
-@pytest.mark.parametrize(
-    "solve",
-    [lambda: max_trifferent(3, workers=0), lambda: max_r_bounded(4, 1, workers=0)],
-    ids=["max", "max-r"],
-)
-def test_workers_below_one_rejected(solve):
-    with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
-        solve()
