@@ -1,14 +1,11 @@
-"""Ternary codewords held as bitplanes, trifference checks, and code transforms.
+"""Ternary codewords held as strings, trifference checks, and code transforms.
 
 A code C over {0,1,2} is trifferent when every triple of distinct codewords
-has a coordinate at which the three words take all three symbols.  Codewords
-carry their string over 012 and one integer bitmask per symbol.  The string
-is the form that is built, sorted and read: the transforms (prune, project)
-and the constructions slice and join strings and build codes through
-Code.from_strings, and the kernels below read the codes' joined strings.
-The masks serve word equality, the single-triple check
-(is_trifferent_triple), symbol, count_twos, two_locations, and
-add_codewords, the one function that builds a word from masks.
+has a coordinate at which the three words take all three symbols.  A
+codeword is its string over 012: words compare and hash by it, Code sorts
+by it, the transforms (prune, project) and the constructions slice and join
+strings and build codes through Code.from_strings, and the kernels below
+read the codes' joined strings.
 
 The verifier's triple scan (_scan_stars) works on big-int bitsets: a
 separating coordinate needs one word of the triple on that coordinate's
@@ -42,7 +39,7 @@ import math
 import os
 import sys
 from functools import reduce
-from operator import getitem, or_
+from operator import add, getitem, or_
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -86,6 +83,13 @@ _PLANE_TABLES = (
     str.maketrans("012", "010"),
     str.maketrans("012", "001"),
 )
+
+# The six columns (a, b, c) that show all three symbols.
+_ORDERINGS = frozenset(itertools.permutations("012"))
+
+# A bytes.translate table from the sum of the bytes of two symbols a and b
+# ("0" + "0" is 96, "2" + "2" is 100) to the byte of (a + b) mod 3.
+_SUM_MOD_3 = bytes.maketrans(bytes(range(96, 101)), b"01201")
 
 # Maps the bytes of "0", "1" and "2" to 0, 1 and 2, so that a word's bytes
 # index per-coordinate tables by symbol.
@@ -156,48 +160,23 @@ class _Frozen:
 
 
 class Codeword(_Frozen):
-    """A length-n word over {0,1,2} stored as one bitmask per symbol.
+    """A length-n word over {0,1,2}, held as its string.
 
-    Bit i of mask_s is set iff coordinate i holds symbol s.  The three masks
-    partition the coordinate set; this is validated at construction so that
-    downstream mask arithmetic never has to re-check it.  The word also keeps
-    its string, which Code sorts by and transforms slice.
+    Coordinate i holds the symbol string[i].  Two words are equal, and hash
+    alike, when their strings are.  Words are built by from_string, which
+    rejects any other symbol.
     """
 
-    _fields = ("n", "mask0", "mask1", "mask2")
+    _fields = ("n", "string")
 
-    def __init__(self, n: int, mask0: int, mask1: int, mask2: int):
-        if n < 1:
-            raise ValueError("codeword length must be positive")
-        if min(mask0, mask1, mask2) < 0:
-            raise ValueError("bitplanes must be nonnegative")
-        full = (1 << n) - 1
-        if (mask0 | mask1 | mask2) != full or (mask0 + mask1 + mask2) != full:
-            # equality of OR and sum forces pairwise disjointness
-            raise ValueError("bitplanes must partition the coordinate set")
-        d = self.__dict__
-        d["n"] = n
-        d["mask0"] = mask0
-        d["mask1"] = mask1
-        d["mask2"] = mask2
-        # read each mask's binary digits as hex digits, so that one sum puts
-        # symbol s in hex digit i; base 16, unlike base 10, has no digit limit
-        digits = int(format(mask1, "b"), 16) + 2 * int(format(mask2, "b"), 16)
-        d["string"] = format(digits, f"0{n}x")[::-1]
-
-    # spelled out, as triple checks compare words often
+    # the string fixes n, so it alone decides equality
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            self.mask0 == other.mask0
-            and self.mask1 == other.mask1
-            and self.mask2 == other.mask2
-            and self.n == other.n
-        )
+        return self.string == other.string
 
     def __hash__(self) -> int:
-        return hash((self.n, self.mask0, self.mask1, self.mask2))
+        return hash(self.string)
 
     @classmethod
     def from_string(cls, s: str) -> "Codeword":
@@ -205,17 +184,8 @@ class Codeword(_Frozen):
             raise ValueError("codeword string must be nonempty")
         if s.strip("012"):  # any other symbol survives the strip
             raise ValueError(f"invalid symbols in codeword {s!r}")
-        rev = s[::-1]  # bit i of each mask is coordinate i (leftmost char)
-        # the planes of a string over 012 partition its coordinates, so
-        # __init__'s checks are skipped
         word = cls.__new__(cls)
-        word.__dict__.update(
-            n=len(s),
-            mask0=int(rev.translate(_PLANE_TABLES[0]), 2),
-            mask1=int(rev.translate(_PLANE_TABLES[1]), 2),
-            mask2=int(rev.translate(_PLANE_TABLES[2]), 2),
-            string=s,
-        )
+        word.__dict__.update(n=len(s), string=s)
         return word
 
     def __str__(self) -> str:
@@ -224,15 +194,15 @@ class Codeword(_Frozen):
     def symbol(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise ValueError(f"coordinate {i} out of range for length {self.n}")
-        return ((self.mask1 >> i) & 1) + 2 * ((self.mask2 >> i) & 1)
+        return int(self.string[i])
 
     @property
     def count_twos(self) -> int:
-        return self.mask2.bit_count()
+        return self.string.count("2")
 
     def two_locations(self) -> tuple[int, ...]:
         """Sorted coordinates where the word has symbol 2."""
-        return tuple(_set_bits(self.mask2))
+        return tuple(i for i, s in enumerate(self.string) if s == "2")
 
 
 class Code(_Frozen):
@@ -314,30 +284,25 @@ class VerificationResult(NamedTuple):
 def _check_triple_args(x: Codeword, y: Codeword, z: Codeword) -> None:
     if not (x.n == y.n == z.n):
         raise ValueError("codewords in a triple must share one length")
-    if x == y or y == z or x == z:
+    if x.string == y.string or y.string == z.string or x.string == z.string:
         raise ValueError("triple check requires three distinct codewords")
 
 
 def is_trifferent_triple(x: Codeword, y: Codeword, z: Codeword) -> bool:
     """True iff some coordinate sees all three symbols across x, y, z.
 
-    Pure mask arithmetic: OR over the six symbol assignments of the
-    coordinatewise AND of the matching bitplanes.
+    Each column (x_i, y_i, z_i) is looked up among the six orderings of
+    012.
     """
     _check_triple_args(x, y, z)
-    acc = (
-        x.mask0 & ((y.mask1 & z.mask2) | (y.mask2 & z.mask1))
-        | x.mask1 & ((y.mask0 & z.mask2) | (y.mask2 & z.mask0))
-        | x.mask2 & ((y.mask0 & z.mask1) | (y.mask1 & z.mask0))
-    )
-    return acc != 0
+    return not _ORDERINGS.isdisjoint(zip(x.string, y.string, z.string))
 
 
 def naive_trifferent_triple(x: Codeword, y: Codeword, z: Codeword) -> bool:
     """Reference check walking coordinates symbol by symbol.
 
-    Kept deliberately independent of the bitplane path; the two must agree
-    on every input.
+    Compares the symbols pairwise, kept deliberately independent of
+    is_trifferent_triple's lookup; the two must agree on every input.
     """
     _check_triple_args(x, y, z)
     return any(
@@ -546,15 +511,11 @@ def count_A_r(n: int, r: int) -> int:
 
 
 def add_codewords(x: Codeword, v: Codeword) -> Codeword:
-    """Coordinatewise sum mod 3, expressed as bitplane shuffles."""
+    """Coordinatewise sum mod 3."""
     if x.n != v.n:
         raise ValueError("length mismatch in codeword addition")
-    return Codeword(
-        n=x.n,
-        mask0=(x.mask0 & v.mask0) | (x.mask1 & v.mask2) | (x.mask2 & v.mask1),
-        mask1=(x.mask0 & v.mask1) | (x.mask1 & v.mask0) | (x.mask2 & v.mask2),
-        mask2=(x.mask0 & v.mask2) | (x.mask1 & v.mask1) | (x.mask2 & v.mask0),
-    )
+    sums = bytes(map(add, x.string.encode(), v.string.encode()))
+    return Codeword.from_string(sums.translate(_SUM_MOD_3).decode())
 
 
 def shift(code: Code, v: Codeword) -> Code:

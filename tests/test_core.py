@@ -56,13 +56,13 @@ SYMBOL_TEXT = bytes.maketrans(b"\x00\x01\x02", b"012")
 
 class TestCodeword:
     def test_round_trip(self):
-        # from_string keeps its input; a word built from masks rebuilds it
-        # past 4300 digits, where int() and str() in base 10 refuse to convert
+        # from_string keeps its input, also past 4300 symbols, where int()
+        # and str() in base 10 refuse to convert
         long_words = ("1" * 4301, "21" * 2200 + "0", "0" * 5000 + "2", "1220" * 1500)
         for s in ("0", "2", "012", "2101", "0" * 64, "210" * 21, "1022" * 20, *long_words):
             w = cw(s)
-            assert w.string == s
-            assert Codeword(w.n, w.mask0, w.mask1, w.mask2).string == s
+            assert w.string == str(w) == s
+            assert w.n == len(s)
 
     def test_symbols_and_two_locations(self):
         w = cw("0212")
@@ -70,18 +70,35 @@ class TestCodeword:
         assert w.count_twos == 2
         assert w.two_locations() == (1, 3)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 70).flatmap(
+            lambda n: st.tuples(*[st.text("012", min_size=n, max_size=n)] * 2)
+        )
+    )
+    def test_word_reads_agree_with_per_symbol_definitions(self, pair):
+        s, t = pair
+        x, v = cw(s), cw(t)
+        assert [x.symbol(i) for i in range(x.n)] == ["012".index(c) for c in s]
+        assert x.count_twos == sum(c == "2" for c in s)
+        assert x.two_locations() == tuple(i for i in range(len(s)) if s[i] == "2")
+        assert (x == v) == (s == t)
+        assert x == cw(s) and hash(x) == hash(cw(s))
+        total = [("012".index(a) + "012".index(b)) % 3 for a, b in zip(s, t)]
+        assert add_codewords(x, v).string == "".join("012"[d] for d in total)
+
     def test_rejects_foreign_characters(self):
         with pytest.raises(ValueError):
             cw("01x")
         with pytest.raises(ValueError):
             cw("")
 
-    def test_mask_partition_enforced(self):
-        # masks must partition the n coordinates
-        with pytest.raises(ValueError):
-            Codeword(2, mask0=0b11, mask1=0b01, mask2=0)
-        with pytest.raises(ValueError):
-            Codeword(2, mask0=0b01, mask1=0, mask2=0)
+    def test_rejects_every_symbol_outside_012(self):
+        # a bad symbol anywhere in the word, including ones that int() or
+        # str.isdigit() would accept
+        for s in ("3", "0 1", "01\n", "-1", "+01", "0٣", "1²", "0_1", "O12"):
+            with pytest.raises(ValueError):
+                cw(s)
 
 
 class TestCode:
@@ -92,9 +109,9 @@ class TestCode:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             code_of("01", "01")
-        # one copy from a string (its string as given), one from masks
+        # one copy from a string, one built by addition
         with pytest.raises(ValueError, match="duplicate codeword 0212"):
-            Code(4, (cw("0212"), Codeword(4, mask0=0b0001, mask1=0b0100, mask2=0b1010)))
+            Code(4, (cw("0212"), add_codewords(cw("0101"), cw("0111"))))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -116,12 +133,12 @@ def _certificate(n):
 RECORDS = {
     "Codeword": (
         lambda: Codeword.from_string("0212"),
-        lambda: Codeword(4, mask0=0b0001, mask1=0b0100, mask2=0b1010),
+        lambda: add_codewords(cw("0101"), cw("0111")),
         lambda: Codeword.from_string("0211"),
     ),
     "Code": (
         lambda: code_of("20", "02"),
-        lambda: Code(2, (Codeword(2, 0b01, 0, 0b10), cw("20"))),
+        lambda: Code(2, (add_codewords(cw("01"), cw("01")), cw("20"))),
         lambda: Code(2, (cw("20"), cw("02")), comments=("# other",)),
     ),
     "VerificationResult": (
@@ -174,7 +191,7 @@ class TestTripleCheck:
             is_trifferent_triple(cw("00"), cw("11"), cw("2"))
 
     def test_agrees_with_symbol_scan(self):
-        # same verdicts from the bitplane test and the per-coordinate scan
+        # same verdicts from the column lookup and the pairwise symbol scan
         rng = random.Random(411)
         for n in (1, 2, 3, 5, 8, 13, 21, 34, 64):
             space = 3**n

@@ -6,9 +6,14 @@ built must leave every one of them as it is.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trifference
 from trifference.constructions import one_bounded, recursive_construction, triple_construction
 from trifference.core import best_project, format_triff, project, prune
 
@@ -66,3 +71,25 @@ def test_prune_chain():
         "000000000000211000000021111111000000211111111",
         "111111111111112000000021111111111111111111120",
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "triple", "--q", "7"], ["search", "max", "--n", "4"]],
+    ids=["construct-triple-7", "search-max-4"],
+)
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # words hash as their strings, and string hashes change with
+    # PYTHONHASHSEED, so no output may follow the order of a set or dict of
+    # words
+    src = str(Path(trifference.__file__).resolve().parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "trifference.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]
