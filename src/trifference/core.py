@@ -13,11 +13,11 @@ rarest symbol, so each pair of words is checked at those coordinates only.
 That suits every code this package constructs, whose rarest symbols are
 rare.  One plan (_scan_plan) picks the number of processes from the code's
 size, how often its words hold each coordinate's rarest symbol, and the
-CPUs at hand.  verify_trifferent hands one process every row, or deals them
-round-robin to worker processes.  It opens a pool only for a scan long
-enough to repay the pool's start-up, so codes the size of the q = 7 code,
-and early violations in them, are scanned in one process whatever --workers
-says.
+CPUs at hand.  verify_trifferent scans every row in one process, or deals
+the rows round-robin to processes forked as the search forks (_fork,
+_stop).  It forks only for a scan long enough to repay the second process,
+so codes the size of the q = 7 code, and early violations in them, are
+scanned in one process whatever --workers says.
 
 Shift sampling counts on big ints too: each word owns a few bits of one
 integer per coordinate and symbol, and sums of those integers, precomputed
@@ -35,9 +35,9 @@ the state, of one random.choices draw per symbol (_sampled_shifts).
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
 import os
-import sys
 from functools import reduce
 from operator import add, getitem, or_
 from random import Random
@@ -432,11 +432,11 @@ def _scan_stars(
 _STAR_PAIR_WORK = 57_000
 _STAR_LOOKUP_WORK = 3_300
 
-# The pool's start-up in work units: importing concurrent.futures, forking
-# the workers, each rebuilding its bitsets, and shutting them down take
-# 50-60 ms in a fresh CLI process, about 4 * 10**9 units.
-# work // _MIN_PROCESS_WORK processes are opened, so a second one only when
-# the half of the scan it takes over outweighs the start-up.
+# The work, in units, at which a second process breaks even on a shared
+# 2-vCPU Xeon: it builds its own bitsets and tables and competes for the
+# CPUs, so the q = 7 code and planted violations in it (about 1.5 times
+# this) scan no faster in two processes, and 500-word q = 11 subsets (about
+# 2.5 times) do.  work // _MIN_PROCESS_WORK processes share a scan.
 _MIN_PROCESS_WORK = 4 * 10**9
 
 
@@ -445,15 +445,56 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _fork(k: int):
+    """Fork k - 1 children: (p, pipe, []) in child p, (0, None, children) in the parent.
+
+    children is the parent's (pid, pipe) per child, in order, and only the
+    parent reads a child's pipe, so its death breaks every child's next
+    write.  Where os.fork is missing or fails, the children made so far are
+    killed and the parent goes on alone, with no children.
+    """
+    children: list = []
+    for p in range(1, k if hasattr(os, "fork") else 1):
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            os.close(read_end)
+            os.close(write_end)
+            _stop(children)
+            break
+        if pid == 0:
+            os.close(read_end)
+            for _, pipe in children:
+                pipe.close()
+            return p, open(write_end, "wb"), []
+        os.close(write_end)
+        children.append((pid, open(read_end, "rb")))
+    return 0, None, children
+
+
+def _stop(children: list) -> None:
+    """Kill and reap every child that _fork made, and close its pipe."""
+    if not children:
+        return
+    import signal  # costs every start ~1 ms, so import on use
+
+    for pid, pipe in children:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pipe.close()
+    children.clear()
+
+
 def _scan_plan(m: int, n: int, stars: int, workers: int, cpus: int) -> int:
     """How many processes scan m words of length n, `stars` stars in all.
 
     Row i costs m - 1 - i pairs, so dealing the rows round-robin gives every
     part the mean share of the work to within the first row's cost.  There
     are at most min(workers, cpus, m - 2) parts, and one unless each gets
-    _MIN_PROCESS_WORK of the work, the pool's start-up: the q = 7 code and
-    codes of its size scan in one process, a 500-word subset of the q = 11
-    code in two.
+    _MIN_PROCESS_WORK of the work, the break-even of a second process: the
+    q = 7 code and codes of its size scan in one process, a 500-word subset
+    of the q = 11 code in two.
     """
     # |Z_i| + |Z_j| summed over the pairs i < j is (m - 1) * stars
     work = m * (m - 1) // 2 * _STAR_PAIR_WORK + (m - 1) * stars * (_STAR_LOOKUP_WORK + m)
@@ -467,29 +508,34 @@ def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
     at most one per CPU this process may run on, and only one for a small
     scan.  Memory stays at O(m*n + m^2) bits for m words of length n.  One
     process scans every row; of k processes, process p scans rows p, p + k,
-    p + 2k, ...  Each yields its first witness, and the smallest of them is
-    the lexicographically smallest violating index triple into the sorted
-    codeword list, whatever the worker count.
+    p + 2k, ...  The parent is process 0, and forks the others (_fork), which
+    each send their first witness, or None, down a pipe.  It scans the rows
+    of a child that died itself, and all of them when it could not fork.
+    The smallest witness is the lexicographically smallest violating index
+    triple into the sorted codeword list, whatever the worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     m, n = len(code), code.n
     joined = "".join(code.strings())
     parts = _scan_plan(m, n, sum(map(min, _column_counts(joined, n))), workers, _usable_cpus())
-    if parts == 1:
-        found = [_scan_stars(joined, n, range(m - 2))]
-    else:
-        # the pool's modules cost every CLI start ~15 ms, so import on use
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # forked workers start at once, as the search's do; Python 3.14 would
-        # otherwise start them from a forkserver on Linux.  Elsewhere the
-        # default stays: macOS spawns, as forking can crash its frameworks
-        context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-        with ProcessPoolExecutor(max_workers=parts, mp_context=context) as pool:
-            scans = [pool.submit(_scan_stars, joined, n, range(p, m - 2, parts)) for p in range(parts)]
-            found = [scan.result() for scan in scans]
+    me, to_parent, children = _fork(parts)
+    if me:  # a child never returns to the caller
+        try:
+            to_parent.write(marshal.dumps(_scan_stars(joined, n, range(me, m - 2, parts))))
+            to_parent.close()
+        finally:
+            os._exit(0)
+    parts = len(children) + 1
+    try:
+        found = [_scan_stars(joined, n, range(0, m - 2, parts))]
+        for p, (_, pipe) in enumerate(children, 1):
+            try:
+                found.append(marshal.load(pipe))
+            except (EOFError, ValueError):  # the child died
+                found.append(_scan_stars(joined, n, range(p, m - 2, parts)))
+    finally:
+        _stop(children)
     witness = min((t for t in found if t is not None), default=None)
     return VerificationResult(TRIFFERENT if witness is None else NOT_TRIFFERENT, witness)
 

@@ -40,6 +40,8 @@ from .core import (
     Codeword,
     NotTrifferentError,
     OracleDisagreementError,
+    _fork,
+    _stop,
     _usable_cpus,
     count_A_r,
     format_triff,
@@ -286,7 +288,7 @@ def _branch_and_bound(
     nodes = 0
     exhausted = False
 
-    procs = _usable_cpus() if hasattr(os, "fork") else 1
+    procs = _usable_cpus()
     work = 0  # the searched subtrees' work, counted until the first fork
     me = 0  # 0 in the parent, p in child p
     fork_size = None  # the incumbent's size at the fork, None while unforked
@@ -348,9 +350,13 @@ def _branch_and_bound(
 
     def deal(chosen: list[int], pool: int) -> None:
         """Search, skip, or take from a child the subtree rooted at chosen."""
-        nonlocal best_size, nodes, exhausted, work, fork_size, dealt, procs
+        nonlocal best_size, nodes, exhausted, work, fork_size, dealt, procs, me, to_parent, children
         if fork_size is None and procs > 1 and work >= _MIN_FORK_WORK:
-            fork()
+            me, to_parent, children = _fork(procs)
+            if me or children:
+                fork_size, dealt = best_size, 0
+            else:  # without the means to fork, search in one process
+                procs = 1
         if fork_size is None:
             base = nodes
             rec(chosen, pool)
@@ -385,47 +391,9 @@ def _branch_and_bound(
                     if budget is not None and nodes > budget:
                         nodes, exhausted = budget + 1, True
                     return
-            stop()
+            _stop(children)
             fork_size = None
         rec(chosen, pool)
-
-    def fork() -> None:
-        """Fork procs - 1 children; without the means to, search in one process."""
-        nonlocal me, fork_size, dealt, to_parent, procs
-        for p in range(1, procs):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: go on in this one alone
-                os.close(read_end)
-                os.close(write_end)
-                stop()
-                procs = 1
-                return
-            if pid == 0:
-                # the parent alone reads each pipe, so its death breaks
-                # every child's next write
-                os.close(read_end)
-                for _, pipe in children:
-                    pipe.close()
-                children.clear()
-                me, to_parent = p, open(write_end, "wb")
-                break
-            os.close(write_end)
-            children.append((pid, open(read_end, "rb")))
-        fork_size, dealt = best_size, 0
-
-    def stop() -> None:
-        """Kill and reap every child."""
-        if not children:
-            return
-        import signal  # costs every search start ~1 ms, so import on use
-
-        for pid, pipe in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
-        children.clear()
 
     root = rec
     if procs > 1:
@@ -446,7 +414,7 @@ def _branch_and_bound(
     finally:
         if me:  # a child never returns to the caller
             os._exit(0)
-        stop()
+        _stop(children)
     best = grown[-1][1] if grown else []
     return best_size, best, nodes, not exhausted
 

@@ -1,9 +1,9 @@
 """The verifier's star scan against a brute-force reference, its process plan, and its round-robin split."""
 
-import concurrent.futures
 import contextlib
 import itertools
 import json
+import marshal
 import os
 import random
 from unittest import mock
@@ -24,6 +24,8 @@ from trifference.core import (
     verify_trifferent,
     write_triff,
 )
+
+from test_search import _no_child_left
 
 
 def brute_witness(code: Code):
@@ -223,7 +225,7 @@ class TestScanPlan:
         # 500 dense words of length 198 hold up to 198 * 166 stars
         assert _scan_plan(500, 198, 198 * 166, 2, 2) == 2
 
-    def test_pool_is_capped_by_cpus_and_rows(self):
+    def test_parts_are_capped_by_cpus_and_rows(self):
         assert _scan_plan(500, 198, 198 * 166, 1000, 2) == 2
         assert _scan_plan(500, 198, 198 * 166, 3, 64) == 3
         assert _scan_plan(5, 10**9, 10**9, 1000, 64) == 3
@@ -232,25 +234,32 @@ class TestScanPlan:
         q11 = triple_construction(11, one_bounded(66))
         assert parts_of(q11, 64, 64) == 22
 
-    def test_pool_is_capped_by_the_cpus_this_process_may_run_on(self, monkeypatch):
+    def test_parts_are_capped_by_the_cpus_this_process_may_run_on(self, monkeypatch):
         # as under taskset -c 0 on a machine of 64 CPUs
-        def no_pool(*args, **kwargs):
-            raise AssertionError("opened a process pool")
+        forked = []
+        fork = os.fork
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
         monkeypatch.setattr(core, "_MIN_PROCESS_WORK", 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         code = Code.from_strings([*one_bounded(21).strings(), "1" * 21])
         want = verify_trifferent(code)
+        monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        with pytest.raises(AssertionError, match="pool"):
-            verify_trifferent(code, workers=2)
+        assert verify_trifferent(code, workers=2) == want
+        assert len(forked) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert verify_trifferent(code, workers=2) == want
         # without sched_getaffinity the machine's count is all there is
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert verify_trifferent(code, workers=2) == want
+        assert len(forked) == 1
 
     def test_small_scans_stay_serial(self):
         # less than 2 * _MIN_PROCESS_WORK of work
@@ -258,7 +267,7 @@ class TestScanPlan:
         for code in [*small, dense_code(200, 50, 14), dense_code(200, 100, 7)]:
             assert parts_of(code, 64, 64) == 1
 
-    def test_only_the_benchmark_subset_repays_a_pool(self):
+    def test_only_the_benchmark_subset_repays_a_second_process(self):
         # the codes perfbench verifies: the q = 7 code and planted violations
         # in it (about 1.5 times _MIN_PROCESS_WORK of the star kernel's work)
         # scan in one process, 500-word q = 11 subsets (about 2.5 times) in two
@@ -277,15 +286,15 @@ class TestScanPlan:
         for code in [q7, *planted, *subsets]:
             assert parts_of(code, 2, 1) == parts_of(code, 1, 2) == 1
 
-    def test_early_violation_opens_no_pool(self, tmp_path, monkeypatch, capsys):
+    def test_early_violation_forks_no_child(self, tmp_path, monkeypatch, capsys):
         # perfbench's planted-early code at --workers 2 on two CPUs
-        def no_pool(*args, **kwargs):
-            raise AssertionError("opened a process pool")
+        def no_fork():
+            raise AssertionError("forked a child")
 
         q7 = triple_construction(7, one_bounded(28))
         planted, witness = plant_violation(q7, 0.1, random.Random(1))
         write_triff(planted, tmp_path / "planted-early.triff")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.chdir(tmp_path)
         assert run(["verify", "planted-early.triff", "--workers", "2", "--json"]) == 1
@@ -300,3 +309,71 @@ class TestScanPlan:
         path = tmp_path / "c.triff"
         write_triff(one_bounded(3), path)
         assert run(["verify", str(path), "--workers", value]) == 2
+
+
+def child_scanned_codes():
+    """Codes whose witnesses lie in the rows of child 1 of 2 and of each child of 3, and a trifferent one."""
+    base = triple_construction(5, one_bounded(15))
+    planted = [plant_violation(base, frac, random.Random(3)) for frac in (0.61, 0.634)]
+    assert [(witness[0] % 2, witness[0] % 3) for _, witness in planted] == [(1, 1), (1, 2)]
+    return [*planted, (base, None)]
+
+
+def test_a_dead_child_costs_time_not_the_result(monkeypatch):
+    codes = child_scanned_codes()
+
+    def die(value):
+        raise RuntimeError("child died")
+
+    monkeypatch.setattr(marshal, "dumps", die)  # each child dies before it sends its witness
+    with forced():
+        for (code, want), workers in itertools.product(codes, (2, 3)):
+            assert verify_trifferent(code, workers=workers).witness == want
+    _no_child_left()
+
+
+def test_a_failed_fork_scans_in_one_process(monkeypatch):
+    codes = child_scanned_codes()
+    tried = []
+    fork = os.fork
+
+    def second_fails():
+        # the first child of a three-process scan is made, the second is not
+        tried.append(1)
+        if len(tried) % 2 == 0:
+            raise OSError("no process to spare")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    with forced():
+        for code, want in codes:
+            assert verify_trifferent(code, workers=3).witness == want
+        assert tried == [1] * 6
+        _no_child_left()
+        monkeypatch.delattr(os, "fork")
+        for code, want in codes:
+            assert verify_trifferent(code, workers=2).witness == want
+
+
+def test_no_child_outlives_a_verify(monkeypatch):
+    _no_child_left()
+    (code, want), *_ = child_scanned_codes()
+    scan = core._scan_stars
+
+    def interrupted_parent(words, n, rows, few=None):
+        if rows.start == 0:
+            raise KeyboardInterrupt
+        return scan(words, n, rows, few)
+
+    def interrupted(pipe):
+        raise KeyboardInterrupt
+
+    with forced():
+        assert verify_trifferent(code, workers=3).witness == want
+        _no_child_left()
+        for target, name, stub in ((core, "_scan_stars", interrupted_parent), (marshal, "load", interrupted)):
+            with monkeypatch.context() as patch:
+                patch.setattr(target, name, stub)
+                with pytest.raises(KeyboardInterrupt):
+                    verify_trifferent(code, workers=3)
+            _no_child_left()
