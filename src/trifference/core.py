@@ -486,8 +486,8 @@ def _stop(children: list) -> None:
     children.clear()
 
 
-def _scan_plan(m: int, n: int, stars: int, workers: int, cpus: int) -> int:
-    """How many processes scan m words of length n, `stars` stars in all.
+def _scan_plan(m: int, stars: int, workers: int, cpus: int) -> int:
+    """How many processes scan m words that hold `stars` stars in all.
 
     Row i costs m - 1 - i pairs, so dealing the rows round-robin gives every
     part the mean share of the work to within the first row's cost.  There
@@ -518,7 +518,7 @@ def verify_trifferent(code: Code, workers: int = 1) -> VerificationResult:
         raise ValueError(f"workers must be at least 1, got {workers}")
     m, n = len(code), code.n
     joined = "".join(code.strings())
-    parts = _scan_plan(m, n, sum(map(min, _column_counts(joined, n))), workers, _usable_cpus())
+    parts = _scan_plan(m, sum(map(min, _column_counts(joined, n))), workers, _usable_cpus())
     me, to_parent, children = _fork(parts)
     if me:  # a child never returns to the caller
         try:

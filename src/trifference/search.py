@@ -19,11 +19,13 @@ and the certificate.
 The engine may run in several processes (_branch_and_bound): once the tree
 has shown itself large, it forks, and the subtrees rooted at three chosen
 words are dealt round-robin to the processes, as the verifier deals rows.
-The parent takes a child's result for a subtree only when its incumbent at
-that subtree's place in the depth-first order is the one the child had at
-the fork.  A subtree's run depends only on its prefix, its pool, that
-incumbent and the budget left, so nodes, codes and certificates are those
-of one process, whatever the process count.
+A search on one CPU walks the same tree top and never forks.  The parent
+takes a child's result for a subtree only when its incumbent at that
+subtree's place in the depth-first order is the one the child had at the
+fork.  A subtree's run depends only on its arguments (its prefix, its pool
+and the room left in each 2-location set), that incumbent and the budget
+left, so nodes, codes and certificates are those of one process, whatever
+the process count.
 """
 
 from __future__ import annotations
@@ -237,50 +239,50 @@ def _branch_and_bound(
 ):
     """Returns (best_size, best_indices, nodes, completed).
 
-    With k > 1 CPUs that this process may run on (_usable_cpus), the
-    search runs in one process until the subtrees rooted at the nodes of
-    depth _DEAL_DEPTH that it has searched add up to _MIN_FORK_WORK.  At
-    the next such node it forks k - 1 children, and each process goes on
-    with the same depth-first walk.  Counted from the fork, subtree i
-    belongs to process i mod k.  A child searches its subtrees under the
-    incumbent it had at the fork, and for each one sends its node count
-    and its improvements, each as (node offset, chosen words), down a pipe
-    that only the parent reads.  The parent searches its own subtrees and
-    reads the children's in depth-first order.  Only the nodes above the
-    subtrees' roots hand their children to this dealing; every other node
-    searches its children itself, as in one process.
+    A node is searched from its chosen words, its pool and its rooms, the
+    room left in each 2-location set that the pool still meets.  The walk has
+    one shape at any CPU count: the nodes above depth _DEAL_DEPTH hand their
+    children to deal, which searches each subtree itself until those
+    searched add up to _MIN_FORK_WORK.  With k > 1 CPUs that this process may
+    run on (_usable_cpus), it then forks k - 1 children, and each process
+    goes on with the same depth-first walk; with one it never forks.  Counted
+    from the fork, subtree i belongs to process i mod k.  A child searches
+    its subtrees under the incumbent it had at the fork, and for each one
+    sends its node count and its improvements, each as (node offset, chosen
+    words), down a pipe that only the parent reads.  The parent searches its
+    own subtrees and reads the children's in depth-first order.
 
-    Why the answer and the node count are those of one process: a
-    subtree's run depends only on its prefix, its pool, the incumbent's
-    size when it starts and the budget left.  The parent uses a child's
-    result only when its own incumbent, at that subtree's place in the
-    depth-first order, still has the size it had at the fork.  The walk of
-    the tree's top depends on nothing but that size, so both processes
-    have then met the same subtrees, and the result is what the parent
-    would have found itself.  A budget that runs out inside the subtree
-    keeps the improvements made up to the budget and counts budget + 1
-    nodes, as one process does.  A child counts only the nodes it walks,
-    never more than the parent has walked by the same point, so a child
-    whose budget runs out has searched at least as far as the parent's
-    cut.  When the incumbent has grown since the fork, the parent kills
-    its children, searches that subtree itself and forks again at the
-    next one.  When a child has died, the parent kills the others and
-    searches the rest alone.
+    Why the answer and the node count are those of one process: a subtree's
+    run depends only on its arguments (prefix, pool and rooms), the
+    incumbent's size when it starts and the budget left.  The parent uses a
+    child's result only when its own incumbent, at that subtree's place in
+    the depth-first order, still has the size it had at the fork.  The walk
+    of the tree's top depends on nothing but that size, so both processes
+    have then met the same subtrees, and the result is what the parent would
+    have found itself.  A budget that runs out inside the subtree keeps the
+    improvements made up to the budget and counts budget + 1 nodes, as one
+    process does.  A child counts only the nodes it walks, never more than
+    the parent has walked by the same point, so a child whose budget runs
+    out has searched at least as far as the parent's cut.  When the incumbent
+    has grown since the fork, the parent kills its children, searches that
+    subtree itself and forks again at the next one.  When a child has died,
+    the parent kills the others and searches the rest alone.
     """
     m = len(universe)
     by_support = bound == "support"
     compat = _pair_compat_masks(universe)
     # every exact 2-location set admits at most 2 codewords in total;
-    # supports[s] has a bit per word of set s, used[s] counts chosen ones
+    # support_of[w] has a bit per word of w's set, and a node's rooms list
+    # (room left, set) for each set that its pool still meets
     support_of: list[int] = []
-    supports: list[int] = []
+    rooms: list[tuple[int, int]] = []
     if by_support:
-        sid_of: dict = {}
-        support_of = [sid_of.setdefault(w.two_locations(), len(sid_of)) for w in universe]
-        supports = [0] * len(sid_of)
-        for idx, sid in enumerate(support_of):
-            supports[sid] |= 1 << idx
-    used = [0] * len(supports)
+        keys = [w.two_locations() for w in universe]
+        sets = dict.fromkeys(keys, 0)
+        for idx, key in enumerate(keys):
+            sets[key] |= 1 << idx
+        support_of = [sets[key] for key in keys]
+        rooms = [(2, S) for S in sets.values()]
     rows: list[list[int]] = []  # compat rows of the chosen words
 
     best_size = 0
@@ -299,7 +301,7 @@ def _branch_and_bound(
     def walker(below=None):
         """The search of a node, which hands each child to below, or to itself."""
 
-        def rec(chosen: list[int], pool: int) -> None:
+        def rec(chosen: list[int], pool: int, rooms: list[tuple[int, int]]) -> None:
             nonlocal best_size, nodes, exhausted
             nodes += 1
             if budget is not None and nodes > budget:
@@ -309,9 +311,6 @@ def _branch_and_bound(
             if depth > best_size:
                 best_size = depth
                 grown.append((nodes, chosen.copy()))
-            if by_support:
-                # the classes the pool still meets, with the room each has left
-                live = [(2 - u, S) for u, S in zip(used, supports) if pool & S]
             rem = pool
             while rem and depth + rem.bit_count() > best_size:
                 lsb = rem & -rem
@@ -324,20 +323,20 @@ def _branch_and_bound(
                         break
                 slack = new_pool.bit_count()
                 if by_support and depth + 1 + slack > best_size:
-                    # the per-class slack is at most the pool's size, so it is
+                    # the per-set slack is at most the pool's size, so it is
                     # counted only when the size alone does not prune
                     slack = 0
-                    for room, S in live:
+                    for room, S in rooms:
                         k = (new_pool & S).bit_count()
                         slack += k if k < room else room
                 if depth + 1 + slack > best_size:
+                    kept = rooms
+                    if by_support:  # c takes one room of its own set
+                        s = support_of[c]
+                        kept = [(room - (S == s), S) for room, S in rooms if new_pool & S]
                     chosen.append(c)
                     rows.append(compat[c])
-                    if by_support:
-                        used[support_of[c]] += 1
-                    child(chosen, new_pool)
-                    if by_support:
-                        used[support_of[c]] -= 1
+                    child(chosen, new_pool, kept)
                     rows.pop()
                     chosen.pop()
                 if exhausted:
@@ -348,7 +347,7 @@ def _branch_and_bound(
 
     rec = walker()
 
-    def deal(chosen: list[int], pool: int) -> None:
+    def deal(chosen: list[int], pool: int, rooms: list[tuple[int, int]]) -> None:
         """Search, skip, or take from a child the subtree rooted at chosen."""
         nonlocal best_size, nodes, exhausted, work, fork_size, dealt, procs, me, to_parent, children
         if fork_size is None and procs > 1 and work >= _MIN_FORK_WORK:
@@ -359,7 +358,7 @@ def _branch_and_bound(
                 procs = 1
         if fork_size is None:
             base = nodes
-            rec(chosen, pool)
+            rec(chosen, pool, rooms)
             work += (nodes - base) * pool.bit_count()
             return
         owner = dealt % procs
@@ -367,7 +366,7 @@ def _branch_and_bound(
         if me:
             if owner == me:
                 base, first = nodes, len(grown)
-                rec(chosen, pool)
+                rec(chosen, pool, rooms)
                 found = [(at - base, words) for at, words in grown[first:]]
                 to_parent.write(marshal.dumps((nodes - base, found)))
                 to_parent.flush()
@@ -393,24 +392,20 @@ def _branch_and_bound(
                     return
             _stop(children)
             fork_size = None
-        rec(chosen, pool)
+        rec(chosen, pool, rooms)
 
-    root = rec
-    if procs > 1:
-        # a walker per level above the subtrees' roots, the lowest handing
-        # its children to deal
-        root = deal
-        for _ in range(_DEAL_DEPTH - (1 if symmetry else 0)):
-            root = walker(root)
-    full = (1 << m) - 1
+    chosen, pool = [], (1 << m) - 1
+    if symmetry:
+        chosen, pool = [0], pool & ~1
+        rows.append(compat[0])
+        rooms = [(room - (S == support_of[0]), S) for room, S in rooms if pool & S]
+    # a walker per level above the subtrees' roots, the lowest handing its
+    # children to deal
+    root = deal
+    for _ in range(_DEAL_DEPTH - len(chosen)):
+        root = walker(root)
     try:
-        if symmetry:
-            rows.append(compat[0])
-            if by_support:
-                used[support_of[0]] += 1
-            root([0], full & ~1)
-        else:
-            root([], full)
+        root(chosen, pool, rooms)
     finally:
         if me:  # a child never returns to the caller
             os._exit(0)

@@ -395,6 +395,10 @@ PINNED_CERTIFICATES = [
         lambda: max_r_bounded(4, 2, bound="size"), 4, 2, 6, "optimal", 54, False,
         "16df471934230a06", "n=4\nr=2\n0022\n0122\n0202\n1212\n2210\n2211\n",
     ),
+    (
+        lambda: max_r_bounded(4, 1, symmetry=False), 4, 1, 8, "optimal", 124, False,
+        "af9f9e48f3784292", "n=4\nr=1\n0002\n0020\n0201\n1112\n1121\n1210\n2010\n2101\n",
+    ),
 ]
 
 
@@ -404,7 +408,7 @@ PINNED_CERTIFICATES = [
     ids=[
         "max-1", "max-2", "max-3", "max-4", "max-3-no-symmetry", "max-3-support",
         "max-3-oracle", "max-5-budget", "max-r-4-0-oracle", "max-r-4-4", "max-r-5-2",
-        "max-r-6-1", "max-r-4-2-size",
+        "max-r-6-1", "max-r-4-2-size", "max-r-4-1-no-symmetry",
     ],
 )
 def test_certificate_json_is_pinned(solve, n, r, size, status, nodes, oracle, config_hash, triff):
@@ -471,6 +475,8 @@ SOLVES = {
         for n, r in LAYER_PAIRS
         if (n, r) != (6, 3)
     },
+    "max-r-4-1-no-symmetry": lambda: max_r_bounded(4, 1, symmetry=False),
+    "max-r-5-2-no-symmetry": lambda: max_r_bounded(5, 2, symmetry=False),
     "max-3": lambda: max_trifferent(3),
     "max-4": lambda: max_trifferent(4),
     "max-3-no-symmetry": lambda: max_trifferent(3, symmetry=False),

@@ -82,7 +82,7 @@ def test_star_scan_matches_brute_force(code, step, few):
 @contextlib.contextmanager
 def forced():
     """verify_trifferent splits even the smallest scan over its workers."""
-    with mock.patch.object(core, "_scan_plan", lambda m, n, stars, workers, cpus: max(1, min(workers, m - 2))):
+    with mock.patch.object(core, "_scan_plan", lambda m, stars, workers, cpus: max(1, min(workers, m - 2))):
         yield
 
 
@@ -143,7 +143,7 @@ def stars_of(code: Code) -> int:
 
 def parts_of(code: Code, workers: int = 1, cpus: int = 1) -> int:
     """How many processes verify_trifferent scans code in."""
-    return _scan_plan(len(code), code.n, stars_of(code), workers, cpus)
+    return _scan_plan(len(code), stars_of(code), workers, cpus)
 
 
 def test_dense_codes_give_one_witness_at_every_worker_count():
@@ -223,14 +223,14 @@ class TestScanPlan:
             assert sum(shares) == row_work(m, range(m - 2), power) == closed[power](m)
             assert all(abs(parts * s - sum(shares)) <= parts * (m - 1) ** power for s in shares)
         # 500 dense words of length 198 hold up to 198 * 166 stars
-        assert _scan_plan(500, 198, 198 * 166, 2, 2) == 2
+        assert _scan_plan(500, 198 * 166, 2, 2) == 2
 
     def test_parts_are_capped_by_cpus_and_rows(self):
-        assert _scan_plan(500, 198, 198 * 166, 1000, 2) == 2
-        assert _scan_plan(500, 198, 198 * 166, 3, 64) == 3
-        assert _scan_plan(5, 10**9, 10**9, 1000, 64) == 3
-        assert _scan_plan(3, 10**9, 10**9, 4, 4) == 1
-        assert _scan_plan(40, 10**9, 13 * 10**9, 1, 8) == 1
+        assert _scan_plan(500, 198 * 166, 1000, 2) == 2
+        assert _scan_plan(500, 198 * 166, 3, 64) == 3
+        assert _scan_plan(5, 10**9, 1000, 64) == 3
+        assert _scan_plan(3, 10**9, 4, 4) == 1
+        assert _scan_plan(40, 13 * 10**9, 1, 8) == 1
         q11 = triple_construction(11, one_bounded(66))
         assert parts_of(q11, 64, 64) == 22
 
