@@ -450,17 +450,19 @@ def _fork(k: int):
 
     children is the parent's (pid, pipe) per child, in order, and only the
     parent reads a child's pipe, so its death breaks every child's next
-    write.  Where os.fork is missing or fails, the children made so far are
-    killed and the parent goes on alone, with no children.
+    write.  Where os.fork is missing, or os.pipe or os.fork fails, the
+    children made so far are killed and the parent goes on alone, with no
+    children.
     """
     children: list = []
     for p in range(1, k if hasattr(os, "fork") else 1):
-        read_end, write_end = os.pipe()
+        ends = ()
         try:
+            ends = read_end, write_end = os.pipe()
             pid = os.fork()
-        except OSError:  # no process to spare
-            os.close(read_end)
-            os.close(write_end)
+        except OSError:  # no file or process to spare
+            for end in ends:
+                os.close(end)
             _stop(children)
             break
         if pid == 0:

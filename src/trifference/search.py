@@ -4,10 +4,13 @@ The branch-and-bound engine walks candidate codewords in lexicographic order,
 keeps the incumbent, and prunes subtrees that cannot beat it, so the returned
 optimum is the lexicographically smallest one.  Candidate pools are Python
 big-int bitsets, and so are the pair masks that shrink them: each is an OR of
-per-coordinate symbol planes.  The support bound counts the pool's words per
-exact 2-location set by popcount, where the pool's size alone does not
-prune.  The oracle re-solves small instances as a plain maximum independent
-set in the bad-triple hypergraph and shares no code path with the engine.
+per-coordinate symbol planes.  A bound rule is the rooms list the search
+starts from, the room left in each set of words that caps the code: the
+support rule starts with room 2 in each exact 2-location set, counted per
+set by popcount where the pool's size alone does not prune, and the size
+rule with none.  A new rule is a new list.  The oracle re-solves small
+instances as a plain maximum independent set in the bad-triple hypergraph
+and shares no code path with the engine.
 
 max_trifferent and max_r_bounded check only their own arguments, then both
 reach the certificate through _solve, in this order: the budget and bound
@@ -240,10 +243,12 @@ def _branch_and_bound(
     """Returns (best_size, best_indices, nodes, completed).
 
     A node is searched from its chosen words, its pool and its rooms, the
-    room left in each 2-location set that the pool still meets.  The walk has
-    one shape at any CPU count: the nodes above depth _DEAL_DEPTH hand their
-    children to deal, which searches each subtree itself until those
-    searched add up to _MIN_FORK_WORK.  With k > 1 CPUs that this process may
+    room left in each 2-location set that the pool still meets; the bound
+    rule is the rooms the root starts from, none under the size rule, where
+    a node prunes by its pool's size alone.  The walk has one shape at any
+    CPU count: the nodes above depth _DEAL_DEPTH hand their children to
+    deal, which searches each subtree itself until those searched add up
+    to _MIN_FORK_WORK.  With k > 1 CPUs that this process may
     run on (_usable_cpus), it then forks k - 1 children, and each process
     goes on with the same depth-first walk; with one it never forks.  Counted
     from the fork, subtree i belongs to process i mod k.  A child searches
@@ -269,20 +274,16 @@ def _branch_and_bound(
     the parent kills the others and searches the rest alone.
     """
     m = len(universe)
-    by_support = bound == "support"
     compat = _pair_compat_masks(universe)
     # every exact 2-location set admits at most 2 codewords in total;
     # support_of[w] has a bit per word of w's set, and a node's rooms list
     # (room left, set) for each set that its pool still meets
-    support_of: list[int] = []
-    rooms: list[tuple[int, int]] = []
-    if by_support:
-        keys = [w.two_locations() for w in universe]
-        sets = dict.fromkeys(keys, 0)
-        for idx, key in enumerate(keys):
-            sets[key] |= 1 << idx
-        support_of = [sets[key] for key in keys]
-        rooms = [(2, S) for S in sets.values()]
+    keys = [w.two_locations() for w in universe]
+    sets = dict.fromkeys(keys, 0)
+    for idx, key in enumerate(keys):
+        sets[key] |= 1 << idx
+    support_of = [sets[key] for key in keys]
+    rooms = [(2, S) for S in sets.values()] if bound == "support" else []
     rows: list[list[int]] = []  # compat rows of the chosen words
 
     best_size = 0
@@ -298,54 +299,48 @@ def _branch_and_bound(
     children: list[tuple[int, object]] = []  # the parent's (pid, pipe) per child
     to_parent = None  # a child's pipe
 
-    def walker(below=None):
-        """The search of a node, which hands each child to below, or to itself."""
-
-        def rec(chosen: list[int], pool: int, rooms: list[tuple[int, int]]) -> None:
-            nonlocal best_size, nodes, exhausted
-            nodes += 1
-            if budget is not None and nodes > budget:
-                exhausted = True
+    def rec(chosen: list[int], pool: int, rooms: list[tuple[int, int]]) -> None:
+        """The search of a node, which hands each child to deal at depth _DEAL_DEPTH."""
+        nonlocal best_size, nodes, exhausted
+        nodes += 1
+        if budget is not None and nodes > budget:
+            exhausted = True
+            return
+        depth = len(chosen)
+        if depth > best_size:
+            best_size = depth
+            grown.append((nodes, chosen.copy()))
+        child = deal if depth + 1 == _DEAL_DEPTH else rec
+        rem = pool
+        while rem and depth + rem.bit_count() > best_size:
+            lsb = rem & -rem
+            c = lsb.bit_length() - 1
+            rem ^= lsb
+            new_pool = rem
+            for row in rows:
+                new_pool &= row[c]
+                if not new_pool:
+                    break
+            slack = new_pool.bit_count()
+            if rooms and depth + 1 + slack > best_size:
+                # the per-set slack is at most the pool's size, so it is
+                # counted only when the size alone does not prune
+                slack = 0
+                for room, S in rooms:
+                    k = (new_pool & S).bit_count()
+                    slack += k if k < room else room
+            if depth + 1 + slack > best_size:
+                kept = rooms
+                if rooms:  # c takes one room of its own set
+                    s = support_of[c]
+                    kept = [(room - (S == s), S) for room, S in rooms if new_pool & S]
+                chosen.append(c)
+                rows.append(compat[c])
+                child(chosen, new_pool, kept)
+                rows.pop()
+                chosen.pop()
+            if exhausted:
                 return
-            depth = len(chosen)
-            if depth > best_size:
-                best_size = depth
-                grown.append((nodes, chosen.copy()))
-            rem = pool
-            while rem and depth + rem.bit_count() > best_size:
-                lsb = rem & -rem
-                c = lsb.bit_length() - 1
-                rem ^= lsb
-                new_pool = rem
-                for row in rows:
-                    new_pool &= row[c]
-                    if not new_pool:
-                        break
-                slack = new_pool.bit_count()
-                if by_support and depth + 1 + slack > best_size:
-                    # the per-set slack is at most the pool's size, so it is
-                    # counted only when the size alone does not prune
-                    slack = 0
-                    for room, S in rooms:
-                        k = (new_pool & S).bit_count()
-                        slack += k if k < room else room
-                if depth + 1 + slack > best_size:
-                    kept = rooms
-                    if by_support:  # c takes one room of its own set
-                        s = support_of[c]
-                        kept = [(room - (S == s), S) for room, S in rooms if new_pool & S]
-                    chosen.append(c)
-                    rows.append(compat[c])
-                    child(chosen, new_pool, kept)
-                    rows.pop()
-                    chosen.pop()
-                if exhausted:
-                    return
-
-        child = below or rec
-        return rec
-
-    rec = walker()
 
     def deal(chosen: list[int], pool: int, rooms: list[tuple[int, int]]) -> None:
         """Search, skip, or take from a child the subtree rooted at chosen."""
@@ -399,13 +394,8 @@ def _branch_and_bound(
         chosen, pool = [0], pool & ~1
         rows.append(compat[0])
         rooms = [(room - (S == support_of[0]), S) for room, S in rooms if pool & S]
-    # a walker per level above the subtrees' roots, the lowest handing its
-    # children to deal
-    root = deal
-    for _ in range(_DEAL_DEPTH - len(chosen)):
-        root = walker(root)
     try:
-        root(chosen, pool, rooms)
+        rec(chosen, pool, rooms)
     finally:
         if me:  # a child never returns to the caller
             os._exit(0)

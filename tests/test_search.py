@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import marshal
@@ -130,8 +131,24 @@ def test_certificate_rejects_a_code_that_fails_the_triple_check(monkeypatch):
         (lambda: max_r_bounded(4, 1), 8, 31, OPTIMAL),
         (lambda: max_trifferent(4), 9, 3697, OPTIMAL),
         (lambda: max_trifferent(5, cap=5, budget=200_000), 10, 200_001, LOWER_BOUND),
+        (lambda: max_r_bounded(4, 1, bound="size"), 8, 192, OPTIMAL),
+        (lambda: max_r_bounded(5, 2, bound="size"), 10, 8346, OPTIMAL),
+        (lambda: max_trifferent(3, bound="support"), 6, 71, OPTIMAL),
+        (lambda: max_trifferent(4, bound="support"), 9, 3421, OPTIMAL),
+        (lambda: max_trifferent(4, bound="support", symmetry=False), 9, 45557, OPTIMAL),
     ],
-    ids=["max-r-6-1", "max-r-5-2", "max-r-4-1", "max-4", "max-5-budget"],
+    ids=[
+        "max-r-6-1",
+        "max-r-5-2",
+        "max-r-4-1",
+        "max-4",
+        "max-5-budget",
+        "max-r-4-1-size",
+        "max-r-5-2-size",
+        "max-3-support",
+        "max-4-support",
+        "max-4-support-no-symmetry",
+    ],
 )
 def test_search_tree_is_pinned(solve, size, nodes, status):
     # node counts move whenever a prune decision does
@@ -477,10 +494,12 @@ SOLVES = {
     },
     "max-r-4-1-no-symmetry": lambda: max_r_bounded(4, 1, symmetry=False),
     "max-r-5-2-no-symmetry": lambda: max_r_bounded(5, 2, symmetry=False),
+    "max-r-5-2-size": lambda: max_r_bounded(5, 2, bound="size"),
     "max-3": lambda: max_trifferent(3),
     "max-4": lambda: max_trifferent(4),
     "max-3-no-symmetry": lambda: max_trifferent(3, symmetry=False),
     "max-4-no-symmetry": lambda: max_trifferent(4, symmetry=False),
+    "max-4-support": lambda: max_trifferent(4, bound="support"),
     "max-5-budget-1000": lambda: max_trifferent(5, cap=5, budget=1_000),
     "max-5-budget-77777": lambda: max_trifferent(5, cap=5, budget=77_777),
 }
@@ -569,6 +588,27 @@ def test_no_child_outlives_a_search(cpus, monkeypatch):
     monkeypatch.setattr(marshal, "load", interrupted)
     with pytest.raises(KeyboardInterrupt):
         max_trifferent(4)
+    _no_child_left()
+
+
+def test_a_failed_pipe_searches_in_one_process(cpus, monkeypatch):
+    # the first child of a three-process search is made, the second has no
+    # pipe; the first is killed and the parent searches alone
+    cpus(1)
+    want = _blob(max_trifferent(4))
+    made = []
+    pipe = os.pipe
+
+    def second_fails():
+        made.append(1)
+        if len(made) % 2 == 0:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", second_fails)
+    cpus(3)
+    assert _blob(max_trifferent(4)) == want
+    assert made == [1, 1]
     _no_child_left()
 
 

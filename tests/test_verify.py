@@ -1,6 +1,7 @@
 """The verifier's star scan against a brute-force reference, its process plan, and its round-robin split."""
 
 import contextlib
+import errno
 import itertools
 import json
 import marshal
@@ -353,6 +354,26 @@ def test_a_failed_fork_scans_in_one_process(monkeypatch):
         monkeypatch.delattr(os, "fork")
         for code, want in codes:
             assert verify_trifferent(code, workers=2).witness == want
+
+
+def test_a_failed_pipe_scans_in_one_process(monkeypatch):
+    codes = child_scanned_codes()
+    made = []
+    pipe = os.pipe
+
+    def second_fails():
+        # the first child of a three-process scan is made, the second has no pipe
+        made.append(1)
+        if len(made) % 2 == 0:
+            raise OSError(errno.EMFILE, "Too many open files")
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", second_fails)
+    with forced():
+        for code, want in codes:
+            assert verify_trifferent(code, workers=3).witness == want
+            _no_child_left()
+    assert made == [1] * 6
 
 
 def test_no_child_outlives_a_verify(monkeypatch):
