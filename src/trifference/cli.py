@@ -99,22 +99,19 @@ def _cmd_search(args):
 
     # the parser leaves the caps None, so that it needs no search import;
     # they are filled in here, before the config echo reads them
-    for name, default in (
-        ("cap", search.DEFAULT_N_CAP),
-        ("universe_cap", search.DEFAULT_UNIVERSE_CAP),
-        ("oracle_cap", search.DEFAULT_ORACLE_CAP),
-    ):
-        if getattr(args, name, default) is None:
+    for name, default in (("cap", search.DEFAULT_CAP), ("oracle_cap", search.DEFAULT_ORACLE_CAP)):
+        if getattr(args, name) is None:
             setattr(args, name, default)
     if args.mode == "max":
-        solve, own = search.max_trifferent, {"cap": args.cap}
+        solve, own = search.max_trifferent, {}
     else:
-        solve, own = search.max_r_bounded, {"r": args.r, "universe_cap": args.universe_cap}
+        solve, own = search.max_r_bounded, {"r": args.r}
     if args.bound:  # unset, each search keeps its own default rule
         own["bound"] = args.bound
     cert = solve(
         args.n,
         budget=args.budget,
+        cap=args.cap,
         symmetry=not args.no_symmetry,
         oracle_check=args.oracle,
         oracle_cap=args.oracle_cap,
@@ -288,13 +285,12 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         m_max = leaf(mode, "max", _cmd_search)
         m_max.add_argument("--n", type=int, required=True)
         m_max.add_argument("--budget", type=_positive_int, default=None)
-        m_max.add_argument("--cap", type=int, default=None)
         m_r = leaf(mode, "max-r", _cmd_search)
         m_r.add_argument("--n", type=int, required=True)
         m_r.add_argument("--r", type=int, required=True)
         m_r.add_argument("--budget", type=_positive_int, default=None)
-        m_r.add_argument("--universe-cap", type=int, default=None)
         for m in (m_max, m_r):
+            m.add_argument("--cap", type=_positive_int, default=None)
             m.add_argument("--no-symmetry", action="store_true")
             m.add_argument("--bound", choices=["size", "support"], default=None)
             m.add_argument("--oracle", action="store_true")

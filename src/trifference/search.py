@@ -14,10 +14,11 @@ and shares no code path with the engine.
 
 max_trifferent and max_r_bounded check only their own arguments, then both
 reach the certificate through _solve, in this order: the budget and bound
-rule, the config that is hashed, the oracle cap, one universe build that the
-oracle reuses, the engine (skipped for the layers r = 0 and r = n, whose
-answer is known), core.verify_trifferent on every triple of the best code,
-and the certificate.
+rule, the size guard (no universe larger than {0,1,2}^cap), the config that
+is hashed, the oracle cap, one universe build that the oracle reuses, the
+engine (skipped for the layers r = 0 and r = n, whose answer is known),
+core.verify_trifferent on every triple of the best code, and the
+certificate.
 
 The engine may run in several processes (_branch_and_bound): once the tree
 has shown itself large, it forks, and the subtrees rooted at three chosen
@@ -73,8 +74,7 @@ __all__ = [
 OPTIMAL = "optimal"
 LOWER_BOUND = "lower-bound"
 
-DEFAULT_N_CAP = 4
-DEFAULT_UNIVERSE_CAP = 512
+DEFAULT_CAP = 6
 DEFAULT_ORACLE_CAP = 30
 
 
@@ -130,7 +130,9 @@ def enumerate_bad_triples(universe) -> BadTripleOracleInstance:
 
 def _check_oracle_cap(size: int, cap: int) -> None:
     if size > cap:
-        raise ValueError(f"oracle universe size {size} exceeds cap {cap}")
+        # a size too long to read on one line is shown as a power of two
+        shown = size if size < 2**64 else f"at least 2^{size.bit_length() - 1}"
+        raise ValueError(f"oracle universe size {shown} exceeds cap {cap}")
 
 
 def oracle_max(instance: BadTripleOracleInstance, cap: int = DEFAULT_ORACLE_CAP) -> int:
@@ -406,34 +408,43 @@ def _branch_and_bound(
 
 def _solve(
     base: dict,
-    size: int,
-    build,
     budget: int | None,
     symmetry: bool,
     bound: str,
     oracle_check: bool,
     oracle_cap: int,
+    cap: int,
 ) -> SearchCertificate:
-    """Certificate of the largest code over the universe that build() returns.
+    """Certificate of the largest code over {0,1,2}^n, or its layer r.
 
-    base holds kind, n, and r for a layer; size is the universe's size.
-    build runs only when the tree is searched, and the oracle reuses what it
-    returned.  No certificate carries a code that failed the triple check,
-    whatever the pair masks said.  The engine's process count changes how
-    fast it runs, never its result, so it stays out of the config.
+    base holds kind, n, and r for a layer.  The engine takes on no universe
+    larger than {0,1,2}^cap, and builds it only when the tree is searched;
+    the oracle reuses it.  No certificate carries a code that failed the
+    triple check, whatever the pair masks said.  The engine's process count
+    changes how fast it runs, never its result, so it stays out of the config.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive node count, got {budget}")
     if bound not in ("size", "support"):
         raise ValueError(f"unknown bound rule {bound!r}")
     n, r = base["n"], base.get("r")
+    # a universe of length n has at most 3^n words, so 3^cap is computed
+    # only when n > cap, and 3^n only once n is within the cap
+    if r not in (0, n) and n > cap and (r is None or count_A_r(n, r) > 3**cap):
+        raise ValueError(
+            f"the universe has more words than {{0,1,2}}^{cap}; "
+            "pass a larger cap explicitly"
+        )
+    size = 3**n if r is None else count_A_r(n, r)
     config = {
         **base,
         "budget": budget,
         "symmetry": symmetry,
         "bound": bound,
         "oracle": oracle_check,
-        "universe": size,
+        # a size past the 4300 digits that Python writes in decimal by
+        # default goes in hex; every smaller one keeps its decimal hash
+        "universe": size if size < 10**4300 else hex(size),
     }
     if oracle_check:
         _check_oracle_cap(size, oracle_cap)
@@ -444,7 +455,7 @@ def _solve(
         code, nodes, completed = Code.from_strings(words, n), 0, True
         universe = a_r_universe(n, r) if oracle_check else None
     else:
-        universe = build()
+        universe = full_universe(n) if r is None else a_r_universe(n, r)
         _, best, nodes, completed = _branch_and_bound(universe, symmetry, bound, budget)
         code = Code(n, tuple(universe[i] for i in best))
     check = verify_trifferent(code)
@@ -474,31 +485,25 @@ def _solve(
 def max_trifferent(
     n: int,
     budget: int | None = None,
-    cap: int = DEFAULT_N_CAP,
+    cap: int = DEFAULT_CAP,
     symmetry: bool = True,
     bound: str = "size",
     oracle_check: bool = False,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> SearchCertificate:
-    """Exact maximum trifferent code over all of {0,1,2}^n.
+    """Exact maximum trifferent code over all of {0,1,2}^n, for n <= cap.
 
     With symmetry on, the first codeword is pinned to the all-zeros word:
     per-coordinate symbol permutations act transitively on words and preserve
     trifference, and the all-zeros word is the lexicographic minimum, so the
-    lexicographically smallest optimum survives the restriction.  Raise cap
-    explicitly to search beyond n = 4.
+    lexicographically smallest optimum survives the restriction.
     A large search runs in one process per usable CPU; the certificate is
     the same for any count.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise ValueError(
-            f"n={n} exceeds the search cap {cap}; pass a larger cap explicitly"
-        )
     return _solve(
-        {"kind": "max", "n": n}, 3**n, lambda: full_universe(n),
-        budget, symmetry, bound, oracle_check, oracle_cap,
+        {"kind": "max", "n": n}, budget, symmetry, bound, oracle_check, oracle_cap, cap
     )
 
 
@@ -506,7 +511,7 @@ def max_r_bounded(
     n: int,
     r: int,
     budget: int | None = None,
-    universe_cap: int = DEFAULT_UNIVERSE_CAP,
+    cap: int = DEFAULT_CAP,
     symmetry: bool = True,
     bound: str = "support",
     oracle_check: bool = False,
@@ -515,25 +520,15 @@ def max_r_bounded(
     """Exact maximum trifferent code among words with exactly r twos.
 
     r = 0 leaves a binary universe where no triple is ever trifferent, so the
-    answer is 2 immediately; r = n leaves the single all-twos word.  The
-    symmetry pin is the lexicographic minimum of the layer, justified by
-    coordinate permutations combined with 0/1 swaps.
+    answer is 2 immediately; r = n leaves the single all-twos word.  Both
+    answer at any n; any other layer is searched only if it has at most
+    3^cap words.  The symmetry pin is the lexicographic minimum of the layer,
+    justified by coordinate permutations combined with 0/1 swaps.
     A large search runs in one process per usable CPU; the certificate is
     the same for any count.
     """
-    size = count_A_r(n, r)
-
-    def build() -> list[Codeword]:
-        if size > universe_cap:
-            raise ValueError(
-                f"universe size {size} exceeds cap {universe_cap}; "
-                "pass a larger universe_cap explicitly"
-            )
-        return a_r_universe(n, r)
-
     return _solve(
-        {"kind": "max-r", "n": n, "r": r}, size, build,
-        budget, symmetry, bound, oracle_check, oracle_cap,
+        {"kind": "max-r", "n": n, "r": r}, budget, symmetry, bound, oracle_check, oracle_cap, cap
     )
 
 

@@ -125,6 +125,14 @@ class TestSearch:
     def test_cap_violation_is_an_error(self, capsys):
         assert run(["search", "max", "--n", "9"]) == 2
         assert "error:" in capsys.readouterr().err
+        # refused before 3^n is computed, so at any length at once
+        assert run(["search", "max", "--n", "100000000"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [["max"], ["max-r", "--r", "1"]])
+    def test_cap_must_be_positive(self, capsys, mode):
+        assert run(["search", *mode, "--n", "3", "--cap", "0"]) == 2
+        assert "argument --cap: must be a positive integer, got '0'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, size, cap",
@@ -581,7 +589,7 @@ PARSER_DIGESTS = {
     "verify --help": "8224cad3fe41fb26fc6d3f23dae03f66ce8a98c4ad8067a583b57667687c12ff",
     "search --help": "d399c1a25176b89201cfe66feaf54865c76670b9d8bf4ec2a9dec1508ae48660",
     "search max --help": "89c4a2deffc741a764027f88e326898bef721c0309a143bed6cb37c6c9b2856b",
-    "search max-r --help": "8d7812c62b585f88bc18359ebeb932b3d3e1228013f401db914b0b6aa8b0074f",
+    "search max-r --help": "70b1ba5f8022a52f319302044b51c55927a7b8be0deb8cfbc999ac8e4ae8ee0b",
     "bound --help": "04a90fd6c61b0190e2b1e2275876072112e1c7cfaa9dd0d3181f0211cfca8ce5",
     "bound report --help": "089556efd1317f34e6c6448f2213c3c43a1a2a6297a0661910d5f578f12d874d",
     "bound zarankiewicz --help": "468b1272c582d5cc020954543006753db9b215f913c37a80358afb7114ff10aa",

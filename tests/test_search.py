@@ -3,6 +3,7 @@ import hashlib
 import json
 import marshal
 import os
+import re
 from math import comb
 
 import pytest
@@ -204,12 +205,6 @@ class TestMaxTrifferent:
         with pytest.raises(ValueError, match="budget must be a positive node count"):
             max_trifferent(3, budget=budget)
 
-    def test_cap_guard(self):
-        with pytest.raises(ValueError):
-            max_trifferent(5)
-        cert = max_trifferent(4, cap=4)
-        assert cert.best_size == 9
-
     def test_symmetry_setting_changes_nodes_not_answer(self):
         free = max_trifferent(3, symmetry=False)
         pinned = max_trifferent(3, symmetry=True)
@@ -251,9 +246,16 @@ class TestMaxRBounded:
         assert a.config_hash != b.config_hash
         assert a.nodes_explored >= b.nodes_explored
 
-    def test_universe_cap_guard(self):
-        with pytest.raises(ValueError):
-            max_r_bounded(10, 2, universe_cap=100)
+    def test_binary_layer_past_the_decimal_digit_limit(self):
+        # 2^14284 has 4300 digits, the most Python writes in decimal by
+        # default; the config keeps that size in decimal and 2^14285 in hex
+        assert max_r_bounded(14_284, 0).config_hash == "97f6b81c2476e492"
+        cert = max_r_bounded(20_000, 0)
+        assert cert.best_size == 2
+        assert cert.config_hash == "7338fa3d74e2d2a9"
+        with pytest.raises(ValueError) as err:
+            max_r_bounded(14_000, 0, oracle_check=True)
+        assert str(err.value) == "oracle universe size at least 2^14000 exceeds cap 30"
 
     @pytest.mark.parametrize("r", [0, 2, 4])
     def test_budget_below_one_rejected(self, r):
@@ -269,6 +271,52 @@ class TestMaxRBounded:
         assert blob["best_size"] == 4
         assert blob["best_code_triff"].startswith("n=3\nr=2\n")
         json.dumps(blob)
+
+
+GUARD_CASES = {
+    "max-7": (lambda: max_trifferent(7), "refused"),
+    "max-r-7-2-cap-5": (lambda: max_r_bounded(7, 2, cap=5), "refused"),
+    "max-10**9": (lambda: max_trifferent(10**9), "refused"),
+    "max-5": (lambda: max_trifferent(5), "searched"),
+    "max-6": (lambda: max_trifferent(6), "searched"),
+    "max-r-7-2": (lambda: max_r_bounded(7, 2), "searched"),
+    "max-r-7-2-cap-10**9": (lambda: max_r_bounded(7, 2, cap=10**9), "searched"),
+    # 14 words, longer than the cap but fewer than 3^5
+    "max-r-7-6-cap-5": (lambda: max_r_bounded(7, 6, cap=5), "searched"),
+    "max-r-50-0": (lambda: max_r_bounded(50, 0), "answered"),
+}
+
+
+@pytest.mark.parametrize("solve, outcome", GUARD_CASES.values(), ids=GUARD_CASES)
+def test_one_size_guard_for_both_modes(monkeypatch, solve, outcome):
+    # the engine takes on no universe larger than {0,1,2}^cap, and a refused
+    # run builds nothing
+    built = []
+
+    class Searched(Exception):
+        pass
+
+    def engine(*args):
+        raise Searched
+
+    monkeypatch.setattr(search, "_branch_and_bound", engine)
+    monkeypatch.setattr(search, "full_universe", lambda *args: built.append(args))
+    monkeypatch.setattr(search, "a_r_universe", lambda *args: built.append(args))
+    if outcome == "refused":
+        with pytest.raises(ValueError) as err:
+            solve()
+        assert re.fullmatch(
+            r"the universe has more words than \{0,1,2\}\^\d+; pass a larger cap explicitly",
+            str(err.value),
+        )
+        assert built == []
+    elif outcome == "searched":
+        with pytest.raises(Searched):
+            solve()
+        assert len(built) == 1
+    else:
+        assert solve().best_size == 2
+        assert built == []
 
 
 class TestResultsTable:
