@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 # the other layers are imported by the handlers that use them, so each
@@ -27,7 +26,7 @@ SCHEMA = 1
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    if not core._is_digits(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
 
@@ -64,12 +63,7 @@ def _cmd_construct(args):
     if args.family == "one-bounded":
         code = constructions.one_bounded(args.n)
     elif args.family == "triple":
-        if args.base:
-            base = core.read_triff(args.base)
-        else:
-            base = constructions.one_bounded(
-                max(1, math.ceil((args.q * args.q + args.q) / 2))
-            )
+        base = core.read_triff(args.base) if args.base else None
         code = constructions.triple_construction(
             args.q, base, sigma_seed=args.sigma_seed
         )
@@ -294,7 +288,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             m.add_argument("--no-symmetry", action="store_true")
             m.add_argument("--bound", choices=["size", "support"], default=None)
             m.add_argument("--oracle", action="store_true")
-            m.add_argument("--oracle-cap", type=int, default=None)
+            m.add_argument("--oracle-cap", type=_positive_int, default=None)
             m.add_argument("--table", help="results table JSON to update")
 
     if p := command("bound", "bounds and reports"):

@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import math
 from random import Random
-from typing import NamedTuple
 
-from .core import Code, _Frozen, _require_trifferent
+from .core import Code, _require_trifferent
 
 __all__ = [
-    "AffineLine",
-    "AffineIncidence",
     "one_bounded",
     "affine_plane",
-    "fpf_permutation",
     "triple_construction",
     "recursive_construction",
 ]
@@ -29,13 +25,11 @@ def one_bounded(n: int) -> Code:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return Code.from_strings(["2"], comments=("# construction=one-bounded n=1",))
-    words = []
+    words = set()
     for i in range(n):
         u = "".join("2" if j == i else ("1" if j > i else "0") for j in range(n))
         v = "".join("2" if j == i else ("1" if j < i else "0") for j in range(n))
-        words.extend([u, v])
+        words.update((u, v))
     return Code.from_strings(
         words, n=n, comments=(f"# construction=one-bounded n={n}",)
     )
@@ -56,108 +50,50 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-class AffineLine(_Frozen):
-    """A line of the affine plane over F_q: y = m*x + c, or x = c when m is None.
-
-    A plain class rather than a tuple, so that a line never equals a point.
-    """
-
-    _fields = ("m", "c")
-
-    def __init__(self, m: int | None, c: int):
-        d = self.__dict__
-        d["m"] = m
-        d["c"] = c
-
-
-class AffineIncidence(NamedTuple):
-    """Points, lines, and point-line flags of the affine plane over F_q (q prime).
-
-    Each line carries one fixed-point-free permutation sigma of its q points:
-    by default the cyclic shift by one in the line's canonical point order
-    (non-vertical lines sorted by x, verticals by y); with sigma_seed set, a
-    seeded random derangement per line, recorded for reproducibility.
-    """
-
-    q: int
-    points: tuple[tuple[int, int], ...]
-    lines: tuple[AffineLine, ...]
-    line_points: dict
-    sigma: dict
-    flags: tuple
-    sigma_seed: int | None
-
-    def lines_through(self, p: tuple[int, int]) -> tuple[AffineLine, ...]:
-        return tuple(ln for ln in self.lines if p in self.line_points[ln])
-
-
-def _derangement(items: list, rng: Random) -> dict:
+def _derangement(items: list, rng: Random) -> list:
     # rejection sampling; expected ~e attempts
     while True:
         perm = items[:]
         rng.shuffle(perm)
         if all(a != b for a, b in zip(items, perm)):
-            return dict(zip(items, perm))
+            return perm
 
 
-def affine_plane(q: int, sigma_seed: int | None = None) -> AffineIncidence:
-    """The affine plane AG(2, q) for prime q, with q^2 + q lines of q points each."""
+def affine_plane(q: int, sigma_seed: int | None = None) -> list[tuple[list[int], list[int]]]:
+    """The q^2 + q lines of the affine plane AG(2, q) for prime q, numbered.
+
+    Point (x, y) is q*x + y.  Line q*m + c is y = m*x + c, its points in
+    order of x; line q*q + c is x = c, its points in order of y.  Each line
+    is a pair (points, images): its fixed-point-free permutation sigma sends
+    points[i] to images[i].  By default sigma is the cyclic shift by one;
+    with sigma_seed set, a seeded random derangement per line.
+    """
     if not _is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
-    points = tuple((x, y) for x in range(q) for y in range(q))
-    lines = tuple(
-        [AffineLine(m, c) for m in range(q) for c in range(q)]
-        + [AffineLine(None, c) for c in range(q)]
-    )
-    line_points = {}
-    for ln in lines:
-        if ln.m is None:
-            pts = tuple((ln.c, y) for y in range(q))  # sorted by y
-        else:
-            pts = tuple((x, (ln.m * x + ln.c) % q) for x in range(q))  # sorted by x
-        line_points[ln] = pts
-    rng = Random(sigma_seed) if sigma_seed is not None else None
-    sigma = {}
-    for ln in lines:
-        pts = line_points[ln]
-        if rng is None:
-            sigma[ln] = {pts[i]: pts[(i + 1) % q] for i in range(q)}
-        else:
-            sigma[ln] = _derangement(list(pts), rng)
-    flags = tuple((p, ln) for ln in lines for p in line_points[ln])
-    return AffineIncidence(
-        q=q,
-        points=points,
-        lines=lines,
-        line_points=line_points,
-        sigma=sigma,
-        flags=flags,
-        sigma_seed=sigma_seed,
-    )
-
-
-def fpf_permutation(plane: AffineIncidence, line: AffineLine) -> dict:
-    """The fixed-point-free permutation attached to one line of the plane."""
-    try:
-        return plane.sigma[line]
-    except KeyError:
-        raise ValueError(f"line {line} does not belong to this plane") from None
+    lines = [[q * x + (m * x + c) % q for x in range(q)] for m in range(q) for c in range(q)]
+    lines += [[q * c + y for y in range(q)] for c in range(q)]
+    if sigma_seed is None:
+        return [(pts, pts[1:] + pts[:1]) for pts in lines]
+    rng = Random(sigma_seed)
+    return [(pts, _derangement(pts, rng)) for pts in lines]
 
 
 def triple_construction(
-    q: int, base: Code, sigma_seed: int | None = None
+    q: int, base: Code | None = None, sigma_seed: int | None = None
 ) -> Code:
     """Blow an r-bounded trifferent code up to a 3r-bounded one of size q^3 + q^2.
 
     One output word per point-line flag (p, l) of the affine plane over F_q:
-    the concatenation of phi(p), psi(l), and phi(sigma_l(p)), where phi
-    enumerates the first q^2 base codewords over the points and psi the first
-    q^2 + q over the lines.  Each of the three blocks resolves the triples
-    whose flags collide in the other two, which is where the fixed-point-free
-    sigma earns its keep.
+    the concatenation of s[p], s[l], and s[sigma_l(p)], where s lists the
+    base codewords and points and lines are numbered as in affine_plane.
+    Each of the three blocks resolves the triples whose flags collide in the
+    other two, which is where the fixed-point-free sigma earns its keep.
+    The base defaults to the 1-bounded family of exactly q^2 + q words.
     """
     plane = affine_plane(q, sigma_seed=sigma_seed)
     need = q * q + q
+    if base is None:
+        base = one_bounded(need // 2)
     if len(base) < need:
         raise ValueError(
             f"base code has {len(base)} codewords; q={q} needs at least {need}"
@@ -165,10 +101,12 @@ def triple_construction(
     if base.r_bound is None:
         raise ValueError("base code must be exactly r-bounded")
     _require_trifferent(base, "base code")
-    strings = base.strings()
-    phi = {p: strings[i] for i, p in enumerate(plane.points)}
-    psi = {ln: strings[i] for i, ln in enumerate(plane.lines)}
-    words = [phi[p] + psi[ln] + phi[plane.sigma[ln][p]] for p, ln in plane.flags]
+    s = base.strings()
+    words = [
+        s[p] + s[line] + s[image]
+        for line, (points, images) in enumerate(plane)
+        for p, image in zip(points, images)
+    ]
     sigma_note = "cyclic" if sigma_seed is None else f"random seed={sigma_seed}"
     comments = (
         f"# construction=triple q={q} sigma={sigma_note}",

@@ -1,6 +1,6 @@
 import pytest
 
-from trifference.constructions import one_bounded, triple_construction
+from trifference.constructions import triple_construction
 from trifference.search import max_r_bounded, max_trifferent
 
 
@@ -30,4 +30,4 @@ def exact_layers():
 
 @pytest.fixture(scope="session")
 def triple_codes():
-    return {q: triple_construction(q, one_bounded((q * q + q) // 2)) for q in (2, 3, 5)}
+    return {q: triple_construction(q) for q in (2, 3, 5)}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from trifference import search
+from trifference import constructions, search
 from trifference.cli import build_parser, run
 from trifference.core import read_triff
 
@@ -86,6 +86,14 @@ class TestConstructAndVerify:
         assert run(["construct", "triple", "--q", "2", "-o", str(path)]) == 0
         code = read_triff(path)
         assert (code.n, len(code), code.r_bound) == (9, 12, 3)
+
+    def test_nonprime_order_is_rejected_before_a_base_is_built(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(constructions, "one_bounded", lambda n: built.append(n))
+        assert run(["construct", "triple", "--q", "150"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: q must be prime, got 150\n")
+        assert built == []
 
     def test_recursive_construct(self, tmp_path):
         path = tmp_path / "r.triff"
@@ -405,6 +413,28 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--budget: must be a positive integer" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "max", "--n", "3", "--oracle", "--oracle-cap", "0"],
+            ["search", "max-r", "--n", "3", "--r", "1", "--oracle", "--oracle-cap", "-1"],
+            ["search", "max-r", "--n", "3", "--r", "1", "--oracle", "--oracle-cap", "0"],
+            ["search", "max", "--n", "3", "--budget", "٣"],
+            ["search", "max", "--n", "3", "--budget", "²"],
+            ["search", "max-r", "--n", "3", "--r", "1", "--cap", "٣"],
+            ["search", "max", "--n", "3", "--cap", "²"],
+            ["verify", "c.triff", "--workers", "٣"],
+            ["verify", "c.triff", "--workers", "²"],
+        ],
+        ids=" ".join,
+    )
+    def test_positive_integer_flags_are_usage_errors(self, capsys, argv):
+        # the .triff parser's digit rule: int() would read '٣' as 3 and reject '²'
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: must be a positive integer, got {argv[-1]!r}" in captured.err
 
     def test_output_goes_to_file(self, tmp_path):
         target = tmp_path / "report.json"

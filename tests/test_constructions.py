@@ -1,11 +1,11 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from trifference import constructions
 from trifference.constructions import (
-    AffineLine,
     affine_plane,
-    fpf_permutation,
     one_bounded,
     recursive_construction,
     triple_construction,
@@ -33,67 +33,53 @@ class TestOneBounded:
 class TestAffinePlane:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_incidence_counts(self, q):
-        plane = affine_plane(q)
-        assert len(plane.points) == q * q
-        assert len(plane.lines) == q * q + q
-        assert len(plane.flags) == q**3 + q**2
-        for ln in plane.lines:
-            assert len(plane.line_points[ln]) == q
-        for p in plane.points:
-            assert len(plane.lines_through(p)) == q + 1
+        for seed in (None, 99):
+            plane = affine_plane(q, sigma_seed=seed)
+            assert len(plane) == q * q + q
+            assert all(len(points) == len(images) == q for points, images in plane)
+            on = Counter(p for points, _ in plane for p in points)
+            assert sorted(on) == list(range(q * q))
+            assert set(on.values()) == {q + 1}
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_two_lines_share_at_most_one_point(self, q):
-        plane = affine_plane(q)
-        for la, lb in itertools.combinations(plane.lines, 2):
-            common = set(plane.line_points[la]) & set(plane.line_points[lb])
-            assert len(common) <= 1
+        # equivalently, two points lie on exactly one line
+        for seed in (None, 99):
+            plane = affine_plane(q, sigma_seed=seed)
+            pairs = Counter(pair for points, _ in plane for pair in itertools.combinations(sorted(points), 2))
+            assert len(pairs) == q * q * (q * q - 1) // 2
+            assert set(pairs.values()) == {1}
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_sigma_is_fixed_point_free_bijection(self, q):
-        plane = affine_plane(q)
-        for ln in plane.lines:
-            pts = plane.line_points[ln]
-            perm = fpf_permutation(plane, ln)
-            assert sorted(perm[p] for p in pts) == sorted(pts)
-            for p in pts:
-                assert perm[p] != p
+        for seed in (None, 99):
+            for points, images in affine_plane(q, sigma_seed=seed):
+                assert sorted(images) == sorted(points)
+                assert all(p != image for p, image in zip(points, images))
+
+    def test_numbering(self):
+        # point (x, y) is 3x + y; line 3m + c is y = mx + c, line 9 + c is x = c
+        plane = affine_plane(3)
+        assert plane[3 * 2 + 1][0] == [1, 3 * 1 + 0, 3 * 2 + 2]
+        assert plane[9 + 2][0] == [6, 7, 8]
+        assert [images for _, images in plane[:2]] == [[3, 6, 0], [4, 7, 1]]
 
     def test_q2_sigma_is_the_swap(self):
-        plane = affine_plane(2)
-        for ln in plane.lines:
-            a, b = plane.line_points[ln]
-            perm = fpf_permutation(plane, ln)
-            assert perm[a] == b and perm[b] == a
+        for seed in (None, 99):
+            for points, images in affine_plane(2, sigma_seed=seed):
+                assert images == points[::-1]
 
     def test_seeded_sigma_still_fixed_point_free(self):
         plane = affine_plane(5, sigma_seed=99)
-        for ln in plane.lines:
-            perm = fpf_permutation(plane, ln)
-            for p in plane.line_points[ln]:
-                assert perm[p] != p
-        again = affine_plane(5, sigma_seed=99)
-        assert again.sigma == plane.sigma
-
-    def test_foreign_line_rejected(self):
-        plane = affine_plane(2)
-        with pytest.raises(ValueError):
-            fpf_permutation(plane, ("no", "such"))
-
-    def test_a_line_is_not_a_point(self):
-        # lines and points are both keyed by two integers
-        plane = affine_plane(3)
-        line = plane.lines[1]
-        assert (line.m, line.c) in plane.points
-        assert line != (line.m, line.c) and line == AffineLine(line.m, line.c)
-        with pytest.raises(ValueError):
-            fpf_permutation(plane, (line.m, line.c))
-        with pytest.raises(AttributeError):
-            line.c = 2
+        assert [p for p, _ in plane] == [p for p, _ in affine_plane(5)]
+        for points, images in plane:
+            assert all(p != image for p, image in zip(points, images))
+        assert affine_plane(5, sigma_seed=99) == plane
+        assert affine_plane(5, sigma_seed=98) != plane
 
     def test_nonprime_order_rejected(self):
         for q in (0, 1, 4, 6, 9):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^q must be prime, got {q}$"):
                 affine_plane(q)
 
 
@@ -110,6 +96,31 @@ class TestTripleConstruction:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_trifference(self, q, triple_codes):
         assert verify_trifferent(triple_codes[q]).ok
+
+    @pytest.mark.parametrize("q,seed", [(q, seed) for q in (2, 3, 5) for seed in (None, 99)])
+    def test_words_decode_to_flags(self, q, seed):
+        # each word is s[p] + s[line] + s[sigma(p)] over the base words s:
+        # point p = (x, y) = divmod(p, q) lies on line q*m + c when
+        # y = m*x + c, and on line q*q + c when x = c
+        base = one_bounded((q * q + q) // 2)
+        index = {w: i for i, w in enumerate(base.strings())}
+        flags = []
+        for word in triple_construction(q, base, sigma_seed=seed).strings():
+            p, line, image = (index[word[k : k + base.n]] for k in range(0, 3 * base.n, base.n))
+            assert p != image
+            m, c = divmod(line, q)
+            for point in (p, image):
+                x, y = divmod(point, q)
+                assert point < q * q and (x == c if m == q else y == (m * x + c) % q)
+            flags.append((p, line))
+        assert len(flags) == len(set(flags)) == q**3 + q**2
+
+    def test_nonprime_order_is_rejected_before_a_base_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(constructions, "one_bounded", lambda n: built.append(n))
+        with pytest.raises(ValueError, match="^q must be prime, got 4$"):
+            triple_construction(4)
+        assert built == []
 
     def test_base_must_cover_the_flag_count(self):
         with pytest.raises(ValueError):

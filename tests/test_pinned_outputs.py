@@ -5,7 +5,7 @@ built must leave every one of them as it is.
 """
 
 import hashlib
-import math
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import trifference
-from trifference.constructions import one_bounded, recursive_construction, triple_construction
+from trifference.cli import run
+from trifference.constructions import recursive_construction, triple_construction
 from trifference.core import best_project, format_triff, project, prune
 
 
@@ -23,8 +24,8 @@ def digest(code) -> str:
 
 
 def affine_code(q: int, sigma_seed=None):
-    """The code of `construct triple --q q`: the triple of the 1-bounded base."""
-    return triple_construction(q, one_bounded(math.ceil((q * q + q) / 2)), sigma_seed=sigma_seed)
+    """The code of `construct triple --q q`: the triple of the default 1-bounded base."""
+    return triple_construction(q, sigma_seed=sigma_seed)
 
 
 @pytest.mark.parametrize(
@@ -33,6 +34,7 @@ def affine_code(q: int, sigma_seed=None):
         (5, None, "75286c53dc79edd2f53a95f1f5911e18461cf9efe5288bb307d7049937628498"),
         (5, 3, "2274de20f5da4ebde7a2b0dfc0458eed6af7e6f6163775f7345f417a077dbc37"),
         (7, None, "86e8e5bb81a88655a6380eddbfddfff1bb326425bc5be8ec1ff76968d29c8b7d"),
+        (7, 42, "ca53b7cc5c1a30605762490e5b2361332e1945399321dea7180eee07b498b3e5"),
         (11, None, "d4cd923e198d958cc5bc13b21a1fc4dc7898f653bc56e24a0c6ee005740bec3f"),
     ],
 )
@@ -43,6 +45,25 @@ def test_triple_construction(q, sigma_seed, want):
 def test_recursive_construction():
     want = "480b8c8ac5a25cae46c466fe03d7d8d657b93b76cc68558d90bbb68ffbac3a13"
     assert digest(recursive_construction(2, 100)) == want
+
+
+# the construct commands of the benchmark's toolchain workload, by command id
+BENCHMARK_CONSTRUCTS = {
+    "construct-one-bounded": ["construct", "one-bounded", "--n", "12", "-o", "ob12.triff"],
+    "construct-triple": ["construct", "triple", "--q", "5", "--sigma-seed", "3", "-o", "t5.triff"],
+    "construct-recursive": ["construct", "recursive", "--t", "2", "--target", "100", "-o", "rec.triff"],
+}
+
+
+@pytest.mark.parametrize("cmd_id", BENCHMARK_CONSTRUCTS)
+def test_benchmark_constructions_match_their_frozen_digests(tmp_path, monkeypatch, cmd_id):
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    fields = json.loads(expected.read_text())["toolchain"][cmd_id]
+    want = {k.removeprefix("sha256:"): v for k, v in fields.items() if k.startswith("sha256:")}
+    monkeypatch.chdir(tmp_path)
+    assert run(BENCHMARK_CONSTRUCTS[cmd_id]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+    assert want and got == want
 
 
 @pytest.mark.parametrize(
