@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import Code, _require_trifferent
+from .core import FORBIDDEN_KST, Code, _require_trifferent
 
 __all__ = [
     "BoundEntry",
@@ -40,7 +40,6 @@ __all__ = [
 LOG2_3 = math.log2(3.0)
 KURZ_CONSTANT = 0.6937
 KURZ_MIN_N = 10
-R3_THRESHOLD = 2**21  # one more shared pair would force two equal codewords
 
 DEFAULT_CROSSOVER_GRID = tuple(10**k for k in range(1, 10))
 
@@ -117,36 +116,33 @@ def tb_upper_detail(n: int, r: int) -> tuple[float, str]:
         return 2.0, "exact"
     if r == 1:
         return (1.0, "exact") if n == 1 else (2.0 * n, "exact")
-    if r == 2:
-        if n < 2:
-            return 0.0, "empty"
-        trivial = 2.0 * math.comb(n, 2)
-        half = math.ceil(n / 2)
-        if half >= 3:
-            # random balanced split keeps >= 1/2 of edges in expectation, and
-            # each surviving edge came from at most 2 codewords
-            kst = 4.0 * zarankiewicz_bound(half, n - half, 3, 9)
-            if kst < trivial:
-                return kst, "kst"
-        return trivial, "trivial"
-    if r == 3:
-        if n < 3:
-            return 0.0, "empty"
-        trivial = 2.0 * math.comb(n, 3)
-        if n >= 5:
-            kst = 2.0 * zarankiewicz_bound(n, math.comb(n, 2), 5, R3_THRESHOLD)
-            if kst < trivial:
-                return kst, "kst"
-        return trivial, "trivial"
-    raise ValueError(f"tb_upper supports r in {{0, 1, 2, 3}}, got r={r}")
+    if r not in FORBIDDEN_KST:
+        raise ValueError(f"tb_upper supports r in {{0, 1, 2, 3}}, got r={r}")
+    if n < r:
+        return 0.0, "empty"
+    s, t = FORBIDDEN_KST[r]
+    half = math.ceil(n / 2)
+    u, v, scale = (half, n - half, 4.0) if r == 2 else (n, math.comb(n, 2), 2.0)
+    trivial = 2.0 * math.comb(n, r)
+    # each edge came from at most 2 codewords; at r = 2 a random balanced
+    # split keeps >= 1/2 of the edges in expectation
+    if u >= s:
+        kst = scale * zarankiewicz_bound(u, v, s, t)
+        if kst < trivial:
+            return kst, "kst"
+    return trivial, "trivial"
 
 
-def rho_b(n: int, r: int, tb_value: float) -> float:
-    """Density of an r-bounded code of size tb_value inside its layer: 2^(r-n) * tb / C(n,r)."""
+def _check_layer(n: int, r: int, tb_value: float) -> None:
     if not 0 <= r <= n:
         raise ValueError(f"r must lie in [0, {n}], got {r}")
     if not 0 < tb_value < math.inf:
         raise ValueError("tb_value must be positive and finite")
+
+
+def rho_b(n: int, r: int, tb_value: float) -> float:
+    """Density of an r-bounded code of size tb_value inside its layer: 2^(r-n) * tb / C(n,r)."""
+    _check_layer(n, r, tb_value)
     return math.ldexp(tb_value / math.comb(n, r), r - n)
 
 
@@ -161,13 +157,8 @@ def transfer_bound(n: int, r: int, tb_value: float) -> float:
 
 
 def transfer_bound_log2(n: int, r: int, tb_value: float) -> float:
-    if not 0 <= r <= n:
-        raise ValueError(f"r must lie in [0, {n}], got {r}")
-    if not 0 < tb_value < math.inf:
-        raise ValueError("tb_value must be positive and finite")
-    return (
-        math.log2(tb_value) + (r - n) - math.log2(math.comb(n, r)) + n * LOG2_3
-    )
+    _check_layer(n, r, tb_value)
+    return math.log2(tb_value) + (r - n) - math.log2(math.comb(n, r)) + n * LOG2_3
 
 
 def r3_transfer_log2(n: int) -> float:
@@ -272,13 +263,24 @@ class BoundReport(NamedTuple):
         }
 
 
-def _double_or_none(compute) -> float | None:
-    """compute(), or None where it overflows a double: it raises or comes out infinite."""
+def _entry(name: str, log2_value: float | None, provenance: str, exact=None) -> BoundEntry:
+    """One bound's line, valid when it has a log2 value.
+
+    Its value is exact() if given, else read off the log2 form, and None
+    where that overflows a double: where it raises or comes out infinite.
+    """
     try:
-        value = compute()
+        value = None if log2_value is None else exact() if exact else 2.0**log2_value
     except OverflowError:
-        return None
-    return None if value == math.inf else value
+        value = None
+    valid = log2_value is not None
+    return BoundEntry(name, None if value == math.inf else value, log2_value, valid, provenance)
+
+
+def _transfer_entry(name: str, n: int, r: int, tb_value: float, provenance: str = "") -> BoundEntry:
+    """The shift transfer from an r-layer bound: its exact value up to length 512, then off log2."""
+    exact = (lambda: transfer_bound(n, r, tb_value)) if n <= 512 else None
+    return _entry(name, transfer_bound_log2(n, r, tb_value), provenance, exact)
 
 
 def bound_report(n: int, exact_tb: dict | None = None, codes=None) -> BoundReport:
@@ -294,60 +296,39 @@ def bound_report(n: int, exact_tb: dict | None = None, codes=None) -> BoundRepor
         raise ValueError("n must be positive")
     for label, code in (codes or {}).items():
         _require_trifferent(code, label)
-    entries = []
-
-    # every entry comes from here: valid when it has a log2 value, its value
-    # linear() or else read off the log2 form, null on overflow
-    def add(name, log2_value, provenance, linear=None):
-        value = None
-        if log2_value is not None:
-            value = _double_or_none(linear or (lambda: 2.0**log2_value))
-        entries.append(BoundEntry(name, value, log2_value, log2_value is not None, provenance))
-
-    add(
-        "elias",
-        elias_bound_log2(n),
-        "pruning bound 2*(3/2)^n (Elias 1988), all n",
-        lambda: elias_bound(n),
-    )
-    add(
-        "kurz",
-        kurz_bound_log2(n),
-        "computer-assisted constant 0.6937*(3/2)^n (Kurz 2024), n >= 10",
-        lambda: kurz_bound(n),
-    )
-    sources = []
+    entries = [
+        _entry(
+            "elias",
+            elias_bound_log2(n),
+            "pruning bound 2*(3/2)^n (Elias 1988), all n",
+            lambda: elias_bound(n),
+        ),
+        _entry(
+            "kurz",
+            kurz_bound_log2(n),
+            "computer-assisted constant 0.6937*(3/2)^n (Kurz 2024), n >= 10",
+            lambda: kurz_bound(n),
+        ),
+    ]
     for r in (2, 3):
         tb, branch = tb_upper_detail(n, r)
         provenance = (
             f"shift transfer from the r={r} layer bound ({branch} branch, "
             "Kovari-Sos-Turan edge count)"
         )
-        if n < r:
-            provenance = f"r={r} layer is empty below n={r}"
-        sources.append((f"kst-r{r}-transfer", r, tb, provenance))
+        entries.append(
+            _transfer_entry(f"kst-r{r}-transfer", n, r, tb, provenance)
+            if r <= n
+            else _entry(f"kst-r{r}-transfer", None, f"r={r} layer is empty below n={r}")
+        )
     exact = sorted(
         (r, size)
         for (tn, r), size in (exact_tb or {}).items()
         if tn == n and r is not None and r <= n
     )
-    sources += [
-        (
-            f"exact-r{r}-transfer",
-            r,
-            size,
-            f"shift transfer from the exactly searched r={r} layer maximum {size}",
-        )
-        for r, size in exact
-    ]
-    for label, r, tb, provenance in sources:
-        # past length 512 the value is read off its log2 form
-        add(
-            label,
-            transfer_bound_log2(n, r, tb) if r <= n else None,
-            provenance,
-            (lambda: transfer_bound(n, r, tb)) if n <= 512 else None,
-        )
+    for r, size in exact:
+        provenance = f"shift transfer from the exactly searched r={r} layer maximum {size}"
+        entries.append(_transfer_entry(f"exact-r{r}-transfer", n, r, size, provenance))
     best = min(
         (e for e in entries if e.valid),
         key=lambda e: (e.log2_value, 0 if e.name.startswith("exact") else 1, e.name),

@@ -25,10 +25,24 @@ from . import core
 SCHEMA = 1
 
 
+def _int(text: str) -> int:
+    """int(text) under the .triff parser's digit rule, after an optional leading '-'."""
+    if not core._is_digits(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     if not core._is_digits(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
+
+
+def _float(text: str) -> float:
+    try:
+        return float(text.encode("ascii"))  # float() of a str also reads digits such as '٨'
+    except ValueError:  # UnicodeEncodeError among them
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
 def _config(args) -> dict:
@@ -131,9 +145,8 @@ def _cmd_bound(args):
             "edge_bound": bounds.zarankiewicz_edge_bound(args.u, args.v, args.s, args.t),
         }, 0
     if args.what == "transfer":
-        value = bounds._double_or_none(lambda: bounds.transfer_bound(args.n, args.r, args.tb))
-        log2_value = bounds.transfer_bound_log2(args.n, args.r, args.tb)
-        return {"value": value, "log2_value": log2_value}, 0
+        entry = bounds._transfer_entry("transfer", args.n, args.r, args.tb)
+        return {"value": entry.value, "log2_value": entry.log2_value}, 0
     if args.what == "deficit":
         if args.tb is None:
             return {"delta_upper": bounds.deficit_upper(args.r)}, 0
@@ -260,14 +273,14 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if p := command("construct", "emit a .triff code"):
         fam = p.add_subparsers(dest="family", required=True)
         f = leaf(fam, "one-bounded", _cmd_construct)
-        f.add_argument("--n", type=int, required=True)
+        f.add_argument("--n", type=_int, required=True)
         f = leaf(fam, "triple", _cmd_construct)
-        f.add_argument("--q", type=int, required=True)
+        f.add_argument("--q", type=_int, required=True)
         f.add_argument("--base", help="base .triff code (default: a 1-bounded family)")
-        f.add_argument("--sigma-seed", type=int, default=None)
+        f.add_argument("--sigma-seed", type=_int, default=None)
         f = leaf(fam, "recursive", _cmd_construct)
-        f.add_argument("--t", type=int, required=True)
-        f.add_argument("--target", type=int, required=True)
+        f.add_argument("--t", type=_int, required=True)
+        f.add_argument("--target", type=_int, required=True)
 
     if p := command("verify", "check trifference, exit 1 with a witness on failure", _cmd_verify):
         p.add_argument("code")
@@ -277,11 +290,11 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if p := command("search", "exact maximum code search"):
         mode = p.add_subparsers(dest="mode", required=True)
         m_max = leaf(mode, "max", _cmd_search)
-        m_max.add_argument("--n", type=int, required=True)
+        m_max.add_argument("--n", type=_int, required=True)
         m_max.add_argument("--budget", type=_positive_int, default=None)
         m_r = leaf(mode, "max-r", _cmd_search)
-        m_r.add_argument("--n", type=int, required=True)
-        m_r.add_argument("--r", type=int, required=True)
+        m_r.add_argument("--n", type=_int, required=True)
+        m_r.add_argument("--r", type=_int, required=True)
         m_r.add_argument("--budget", type=_positive_int, default=None)
         for m in (m_max, m_r):
             m.add_argument("--cap", type=_positive_int, default=None)
@@ -294,20 +307,20 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if p := command("bound", "bounds and reports"):
         what = p.add_subparsers(dest="what", required=True)
         w = leaf(what, "report", _cmd_bound)
-        w.add_argument("--n", type=int, required=True)
+        w.add_argument("--n", type=_int, required=True)
         w.add_argument("--exact-table", help="results table JSON from search runs")
         w.add_argument("--code", action="append", help="rate line for this .triff file")
         w = leaf(what, "zarankiewicz", _cmd_bound)
         for name in ("--u", "--v", "--s", "--t"):
-            w.add_argument(name, type=int, required=True)
+            w.add_argument(name, type=_int, required=True)
         w = leaf(what, "transfer", _cmd_bound)
-        w.add_argument("--n", type=int, required=True)
-        w.add_argument("--r", type=int, required=True)
-        w.add_argument("--tb", type=float, required=True)
+        w.add_argument("--n", type=_int, required=True)
+        w.add_argument("--r", type=_int, required=True)
+        w.add_argument("--tb", type=_float, required=True)
         w = leaf(what, "deficit", _cmd_bound)
-        w.add_argument("--r", type=int, required=True)
-        w.add_argument("--n", type=int, default=None)
-        w.add_argument("--tb", type=float, default=None)
+        w.add_argument("--r", type=_int, required=True)
+        w.add_argument("--n", type=_int, default=None)
+        w.add_argument("--tb", type=_float, default=None)
         w.add_argument("--kind", choices=["exact", "lower", "upper"], default="exact")
 
     if p := command("graph", "derived graphs and forbidden-subgraph checks"):
@@ -318,18 +331,18 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         a = leaf(action, "build", _cmd_graph, parents=[graph_input])
         a.add_argument("--edges", help="write the edge list to this file")
         a = leaf(action, "kst-check", _cmd_graph, parents=[graph_input])
-        a.add_argument("--s", type=int, required=True)
-        a.add_argument("--t", type=int, required=True)
+        a.add_argument("--s", type=_int, required=True)
+        a.add_argument("--t", type=_int, required=True)
         a = leaf(action, "bipartition", _cmd_graph, parents=[graph_input])
-        a.add_argument("--seed", type=int, default=None)
-        a.add_argument("--trials", type=int, default=1000)
+        a.add_argument("--seed", type=_int, default=None)
+        a.add_argument("--trials", type=_int, default=1000)
         a.add_argument("--exhaustive", action="store_true")
 
     if p := command("sample-shift", "density of shifted codes in the r-layer", _cmd_sample_shift):
         p.add_argument("code")
-        p.add_argument("--r", type=int, required=True)
-        p.add_argument("--trials", type=int, default=10000)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--r", type=_int, required=True)
+        p.add_argument("--trials", type=_int, default=10000)
+        p.add_argument("--seed", type=_int, default=None)
         p.add_argument("--exhaustive", action="store_true")
 
     if p := command("prune", "coordinate pruning chain sizes", _cmd_prune):
@@ -337,7 +350,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
     if p := command("project", "restrict to 2-at-i codewords, drop coordinate i", _cmd_project):
         p.add_argument("code")
-        p.add_argument("--i", type=int, default=None)
+        p.add_argument("--i", type=_int, default=None)
         p.add_argument("--best", action="store_true")
 
     # last, so every usage line ends with it

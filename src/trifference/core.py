@@ -76,6 +76,10 @@ __all__ = [
 TRIFFERENT = "trifferent"
 NOT_TRIFFERENT = "not_trifferent"
 
+# By r, the K_{s,t} that the derived graph of an r-bounded trifferent code
+# cannot contain (at r = 3 one more shared pair would force two equal words).
+FORBIDDEN_KST = {2: (3, 9), 3: (5, 2**21)}
+
 # str.translate tables mapping a ternary string to the binary indicator
 # string of one symbol plane.
 _PLANE_TABLES = (

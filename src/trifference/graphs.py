@@ -13,7 +13,7 @@ import math
 from random import Random
 from typing import NamedTuple
 
-from .core import Code, _Frozen, _set_bits
+from .core import FORBIDDEN_KST, Code, _Frozen, _set_bits
 
 __all__ = [
     "DerivedGraph",
@@ -258,7 +258,7 @@ def edge_list_text(g: DerivedGraph) -> str:
 
 def graph_summary(g: DerivedGraph) -> dict:
     """JSON-ready counts, annotation histogram, and K_{s,t}-freeness results."""
-    s, t = (3, 9) if g.kind == SIMPLE else (5, 2**21)
+    s, t = FORBIDDEN_KST[2 if g.kind == SIMPLE else 3]
     histogram: dict = {}
     for origins in g.edges.values():
         histogram[len(origins)] = histogram.get(len(origins), 0) + 1

@@ -130,6 +130,51 @@ class TestLayerUpper:
             tb_upper(10, 4)
 
 
+def tb_upper_detail_two_branches(n, r):
+    """tb_upper_detail as written before r = 2 and r = 3 shared one rule."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if r == 0:
+        return 2.0, "exact"
+    if r == 1:
+        return (1.0, "exact") if n == 1 else (2.0 * n, "exact")
+    if r == 2:
+        if n < 2:
+            return 0.0, "empty"
+        trivial = 2.0 * math.comb(n, 2)
+        half = math.ceil(n / 2)
+        if half >= 3:
+            kst = 4.0 * zarankiewicz_bound(half, n - half, 3, 9)
+            if kst < trivial:
+                return kst, "kst"
+        return trivial, "trivial"
+    if r == 3:
+        if n < 3:
+            return 0.0, "empty"
+        trivial = 2.0 * math.comb(n, 3)
+        if n >= 5:
+            kst = 2.0 * zarankiewicz_bound(n, math.comb(n, 2), 5, 2**21)
+            if kst < trivial:
+                return kst, "kst"
+        return trivial, "trivial"
+    raise ValueError(f"tb_upper supports r in {{0, 1, 2, 3}}, got r={r}")
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_one_layer_rule_matches_the_two_branch_reference(r):
+    for n in sorted({*range(1, 2001), *(10**k for k in range(13))}):
+        assert tb_upper_detail(n, r) == tb_upper_detail_two_branches(n, r), n
+
+
+@pytest.mark.parametrize("n, r", [(10, 4), (10, -1), (0, 2), (0, 4)])
+def test_one_layer_rule_raises_as_the_reference_does(n, r):
+    with pytest.raises(ValueError) as reference:
+        tb_upper_detail_two_branches(n, r)
+    with pytest.raises(ValueError) as one_rule:
+        tb_upper_detail(n, r)
+    assert str(one_rule.value) == str(reference.value)
+
+
 class TestDensityAndTransfer:
     def test_binary_density(self):
         for n in (1, 5, 30):

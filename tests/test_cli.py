@@ -251,6 +251,21 @@ class TestBound:
         assert blob["value"] is None
         assert blob["log2_value"] == pytest.approx(1339.327, abs=1e-3)
 
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("n", [6, 512, 513, 600, 646, 647, 700, 1748, 1749, 1750, 10**9])
+    def test_transfer_prints_the_report_line(self, tmp_path, capsys, n, r):
+        # the same transfer as an exactly searched layer of the report; the
+        # r = 2 layer of length 6 holds only 240 words
+        size = 2 * n if r == 1 else 1000 if n > 6 else 200
+        table = tmp_path / "t.json"
+        table.write_text(json.dumps({"schema": 1, "entries": [{"n": n, "r": r, "size": size}]}))
+        assert run(["bound", "report", "--n", str(n), "--exact-table", str(table)]) == 0
+        line = next(e for e in out_json(capsys)["entries"] if e["name"] == f"exact-r{r}-transfer")
+        assert run(["bound", "transfer", "--n", str(n), "--r", str(r), "--tb", str(size)]) == 0
+        blob = out_json(capsys)
+        assert (blob["value"], blob["log2_value"]) == (line["value"], line["log2_value"])
+        assert (blob["value"] is None) == (n == 10**9 or (r == 1 and n >= 1748))
+
     def test_deficit(self, capsys):
         assert run(["bound", "deficit", "--r", "3"]) == 0
         assert out_json(capsys)["delta_upper"] == pytest.approx(1.5)
@@ -435,6 +450,69 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {argv[-2]}: must be a positive integer, got {argv[-1]!r}" in captured.err
+
+    @pytest.mark.parametrize("bad", ["٣", "1_0", "+3"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "construct one-bounded --n {}",
+            "construct triple --q {}",
+            "construct triple --q 3 --sigma-seed {}",
+            "construct recursive --t {} --target 10",
+            "construct recursive --t 2 --target {}",
+            "search max --n {}",
+            "search max-r --n {} --r 1",
+            "search max-r --n 3 --r {}",
+            "bound report --n {}",
+            "bound zarankiewicz --u {} --v 9 --s 3 --t 9",
+            "bound zarankiewicz --u 9 --v {} --s 3 --t 9",
+            "bound zarankiewicz --u 9 --v 9 --s {} --t 9",
+            "bound zarankiewicz --u 9 --v 9 --s 3 --t {}",
+            "bound transfer --n {} --r 1 --tb 2",
+            "bound transfer --n 4 --r {} --tb 2",
+            "bound deficit --r {}",
+            "bound deficit --r 2 --n {} --tb 12",
+            "graph kst-check c.triff --s {} --t 2",
+            "graph kst-check c.triff --s 1 --t {}",
+            "graph bipartition c.triff --seed {}",
+            "graph bipartition c.triff --seed 1 --trials {}",
+            "sample-shift c.triff --r {} --seed 1",
+            "sample-shift c.triff --r 1 --trials {} --seed 1",
+            "sample-shift c.triff --r 1 --seed {}",
+            "project c.triff --i {}",
+        ],
+    )
+    def test_integer_flags_take_ascii_digits_only(self, capsys, line, bad):
+        # int() would read each of these: '٣' and '+3' as 3, '1_0' as 10
+        argv = line.format(bad).split()
+        flag = argv[argv.index(bad) - 1]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: invalid int value: {bad!r}" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "transfer", "--n", "4", "--r", "1", "--tb", "٨"],
+            ["bound", "deficit", "--r", "2", "--n", "9", "--tb", "١٢"],
+        ],
+        ids=" ".join,
+    )
+    def test_layer_bound_takes_ascii_text_only(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --tb: invalid float value: {argv[-1]!r}" in captured.err
+
+    def test_negative_integers_reach_the_library(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.triff").write_text("n=4\nr=2\n2200\n2020\n0202\n")
+        assert run(["graph", "bipartition", "c.triff", "--seed", "-5"]) == 0
+        assert out_json(capsys)["seed"] == -5
+        assert run(["construct", "triple", "--q", "3", "--sigma-seed", "-1"]) == 0
+        assert run(["search", "max", "--n", "-3"]) == 2
+        assert capsys.readouterr().err == "error: n must be positive\n"
 
     def test_output_goes_to_file(self, tmp_path):
         target = tmp_path / "report.json"

@@ -101,6 +101,25 @@ def test_short_commands_run_without_dataclasses_inspect_or_search(tmp_path):
     }
 
 
+def test_graph_and_bound_commands_load_only_their_own_layer(tmp_path):
+    # the layers' forbidden K_{s,t} table lives in core, which both import
+    (tmp_path / "r2.triff").write_text("n=4\nr=2\n2200\n2020\n0202\n")
+    out = loaded_after(
+        [
+            ["graph", "build", "r2.triff"],
+            ["graph", "kst-check", "r2.triff", "--s", "3", "--t", "9"],
+        ],
+        tmp_path,
+    )
+    assert out["rcs"] == [0, 0]
+    assert "trifference.bounds" not in out["loaded"]
+    out = loaded_after(
+        [["bound", "zarankiewicz", "--u", "9", "--v", "9", "--s", "3", "--t", "9"]], tmp_path
+    )
+    assert out["rcs"] == [0]
+    assert "trifference.graphs" not in out["loaded"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
