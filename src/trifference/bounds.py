@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 LOG2_3 = math.log2(3.0)
+# 3^646 < 2^1024 < 3^647: the largest power of three a double holds
+_MAX_DOUBLE_POWER_OF_3 = 646
 KURZ_CONSTANT = 0.6937
 KURZ_MIN_N = 10
 
@@ -151,9 +153,14 @@ def transfer_bound(n: int, r: int, tb_value: float) -> float:
 
     A random shift lands the expected fraction of any trifferent code inside
     the r-layer, so T(n) <= 2^(r-n) * tb / C(n,r) * 3^n.  With r = 0 and
-    tb = 2 this reproduces elias_bound(n) bit for bit.
+    tb = 2 this reproduces elias_bound(n) bit for bit.  Past n = 646, where
+    3^n exceeds the largest double, it raises float()'s OverflowError
+    without building 3^n.
     """
-    return rho_b(n, r, tb_value) * float(3**n)
+    rho = rho_b(n, r, tb_value)
+    if n > _MAX_DOUBLE_POWER_OF_3:
+        raise OverflowError("int too large to convert to float")
+    return rho * float(3**n)
 
 
 def transfer_bound_log2(n: int, r: int, tb_value: float) -> float:

@@ -299,7 +299,12 @@ def is_trifferent_triple(x: Codeword, y: Codeword, z: Codeword) -> bool:
     012.
     """
     _check_triple_args(x, y, z)
-    return not _ORDERINGS.isdisjoint(zip(x.string, y.string, z.string))
+    return _trifferent_strings(x.string, y.string, z.string)
+
+
+def _trifferent_strings(x: str, y: str, z: str) -> bool:
+    """is_trifferent_triple's test on three words' strings, without the checks."""
+    return not _ORDERINGS.isdisjoint(zip(x, y, z))
 
 
 def naive_trifferent_triple(x: Codeword, y: Codeword, z: Codeword) -> bool:

@@ -48,10 +48,10 @@ from .core import (
     OracleDisagreementError,
     _fork,
     _stop,
+    _trifferent_strings,
     _usable_cpus,
     count_A_r,
     format_triff,
-    is_trifferent_triple,
     verify_trifferent,
 )
 
@@ -75,7 +75,7 @@ OPTIMAL = "optimal"
 LOWER_BOUND = "lower-bound"
 
 DEFAULT_CAP = 6
-DEFAULT_ORACLE_CAP = 30
+DEFAULT_ORACLE_CAP = 81
 
 
 def full_universe(n: int) -> list[Codeword]:
@@ -117,13 +117,22 @@ class BadTripleOracleInstance(NamedTuple):
 
 
 def enumerate_bad_triples(universe) -> BadTripleOracleInstance:
+    """The universe and its non-trifferent index triples (i < j < k).
+
+    The words are checked once for the whole universe (distinct, and of one
+    length wherever they form a triple), so each triple is tested on its
+    strings alone.
+    """
     words = tuple(universe)
-    if len(set(w.string for w in words)) != len(words):
+    strings = [w.string for w in words]
+    if len(set(strings)) != len(words):
         raise ValueError("universe must be duplicate-free")
+    if len(words) > 2 and len({w.n for w in words}) > 1:
+        raise ValueError("codewords in a triple must share one length")
     bad = frozenset(
         (i, j, k)
         for i, j, k in itertools.combinations(range(len(words)), 3)
-        if not is_trifferent_triple(words[i], words[j], words[k])
+        if not _trifferent_strings(strings[i], strings[j], strings[k])
     )
     return BadTripleOracleInstance(universe=words, bad_triples=bad)
 
@@ -138,11 +147,13 @@ def _check_oracle_cap(size: int, cap: int) -> None:
 def oracle_max(instance: BadTripleOracleInstance, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Maximum independent set size in the bad-triple hypergraph, by full recursion.
 
-    No bounding, no symmetry breaking, no shared state with the search engine:
-    every triple-free subset is visited.  Only usable on small universes.
-    Words are added in increasing order, and closes[a][b] (a < b) marks the
-    later words c that make (a, b, c) a bad triple, so a subset's banned mask
-    holds exactly the words that would break it.
+    No symmetry breaking and no shared state with the search engine: words
+    are added in increasing order, and closes[a][b] (a < b) marks the later
+    words c that make (a, b, c) a bad triple.  A subset carries avail, the
+    later words that no chosen pair bans, and its branch stops once the
+    subset plus all of avail cannot beat the best found, the weakest sound
+    bound, since every extension takes its words from avail.  Every other
+    triple-free subset is visited.  Only usable on small universes.
     """
     m = len(instance.universe)
     _check_oracle_cap(m, cap)
@@ -152,20 +163,22 @@ def oracle_max(instance: BadTripleOracleInstance, cap: int = DEFAULT_ORACLE_CAP)
         closes[a][b] |= 1 << c
     best = 0
 
-    def extend(chosen: list[int], banned: int, start: int) -> None:
+    def extend(chosen: list[int], avail: int) -> None:
         nonlocal best
         if len(chosen) > best:
             best = len(chosen)
-        for c in range(start, m):
-            if not (banned >> c) & 1:
-                grown = banned
-                for a in chosen:
-                    grown |= closes[a][c]
-                chosen.append(c)
-                extend(chosen, grown, c + 1)
-                chosen.pop()
+        while len(chosen) + avail.bit_count() > best:
+            lsb = avail & -avail
+            c = lsb.bit_length() - 1
+            avail ^= lsb
+            banned = 0
+            for a in chosen:
+                banned |= closes[a][c]
+            chosen.append(c)
+            extend(chosen, avail & ~banned)
+            chosen.pop()
 
-    extend([], 0, 0)
+    extend([], (1 << m) - 1)
     return best
 
 

@@ -317,18 +317,18 @@ def test_07_prune_project_corollary(capsys, exact_layers, triple_codes):
 def test_08_engine_matches_oracle_everywhere(capsys):
     problems = []
     t0 = time.perf_counter()
-    for n in (1, 2, 3):
-        cert = max_trifferent(n, oracle_check=True, oracle_cap=30)
-        oracle = oracle_max(enumerate_bad_triples(full_universe(n)), cap=30)
+    for n in (1, 2, 3, 4):
+        cert = max_trifferent(n, oracle_check=True, oracle_cap=81)
+        oracle = oracle_max(enumerate_bad_triples(full_universe(n)), cap=81)
         if cert.best_size != oracle:
             problems.append(f"unrestricted n={n}: engine {cert.best_size} oracle {oracle}")
     layers = 0
     for n in range(1, 7):
         for r in range(0, n + 1):
-            if comb(n, r) * 2 ** (n - r) > 30:
+            if comb(n, r) * 2 ** (n - r) > 81:
                 continue
             cert = max_r_bounded(n, r)
-            oracle = oracle_max(enumerate_bad_triples(a_r_universe(n, r)), cap=30)
+            oracle = oracle_max(enumerate_bad_triples(a_r_universe(n, r)), cap=81)
             if cert.best_size != oracle:
                 problems.append(f"layer ({n},{r}): engine {cert.best_size} oracle {oracle}")
             layers += 1
@@ -339,6 +339,6 @@ def test_08_engine_matches_oracle_everywhere(capsys):
         capsys,
         "8 branch-and-bound equals the exhaustive oracle",
         not problems,
-        f"3 unrestricted + {layers} layer instances in {dt:.1f}s",
+        f"4 unrestricted + {layers} layer instances in {dt:.1f}s",
     )
     assert not problems, problems

@@ -207,6 +207,19 @@ class TestDensityAndTransfer:
                 transfer_bound(n, r, tb), rel=1e-12
             )
 
+    def test_transfer_fits_a_double_up_to_646(self):
+        # 3^646 < 2^1024 < 3^647: the exact product up to there, as before
+        for n, r, tb in ((646, 0, 2), (646, 1, 1292), (645, 3, 1e6), (600, 2, 1e5)):
+            assert transfer_bound(n, r, tb) == rho_b(n, r, tb) * float(3**n)
+
+    @pytest.mark.parametrize("n", [647, 10**9])
+    def test_transfer_overflows_past_646_without_building_3_to_the_n(self, n):
+        # at 10^9, building 3^n first would take minutes
+        with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+            transfer_bound(n, 1, 2 * n)
+        with pytest.raises(ValueError, match="positive and finite"):
+            transfer_bound(n, 1, math.inf)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             transfer_bound(3, 4, 1)

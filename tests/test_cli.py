@@ -145,8 +145,8 @@ class TestSearch:
     @pytest.mark.parametrize(
         "argv, size, cap",
         [
-            (["search", "max", "--n", "5", "--cap", "5", "--budget", "1000"], 243, 30),
-            (["search", "max-r", "--n", "6", "--r", "0"], 64, 30),
+            (["search", "max", "--n", "5", "--cap", "5", "--budget", "1000"], 243, 81),
+            (["search", "max-r", "--n", "7", "--r", "0"], 128, 81),
             (["search", "max-r", "--n", "4", "--r", "1", "--oracle-cap", "5"], 32, 5),
         ],
     )

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import itertools
 import json
 import marshal
 import os
@@ -75,6 +76,16 @@ class TestBadTriples:
     def test_tiny_universe_has_no_triples(self):
         inst = enumerate_bad_triples(full_universe(1)[:2])
         assert inst.bad_count == 0
+
+    def test_words_of_two_lengths_are_refused_once_they_form_a_triple(self):
+        words = [Codeword.from_string(s) for s in ("00", "11", "2")]
+        assert enumerate_bad_triples(words[1:]).bad_count == 0
+        with pytest.raises(ValueError, match="^codewords in a triple must share one length$"):
+            enumerate_bad_triples(words)
+
+    def test_duplicates_are_refused(self):
+        with pytest.raises(ValueError, match="^universe must be duplicate-free$"):
+            enumerate_bad_triples(full_universe(1) * 2)
 
 
 @st.composite
@@ -175,6 +186,33 @@ class TestOracle:
         assert oracle_max(inst) == max_r_bounded(2, 1).best_size == 4
 
 
+@st.composite
+def sub_universes(draw):
+    # at most 14 words, in drawn order, of a layer or full universe with n <= 4
+    n = draw(st.integers(1, 4))
+    r = draw(st.sampled_from([None, *range(n + 1)]))
+    universe = full_universe(n) if r is None else a_r_universe(n, r)
+    picks = draw(st.lists(st.sampled_from(range(len(universe))), unique=True, max_size=14))
+    return [universe[i] for i in picks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sub_universes())
+def test_oracle_matches_brute_force(words):
+    # the largest subset that holds no bad triple, tried from the top down
+    m = len(words)
+    bad = {
+        t for t in itertools.combinations(range(m), 3)
+        if not naive_trifferent_triple(*(words[i] for i in t))
+    }
+    want = next(
+        k for k in range(m, -1, -1)
+        if any(bad.isdisjoint(itertools.combinations(s, 3))
+               for s in itertools.combinations(range(m), k))
+    )
+    assert oracle_max(enumerate_bad_triples(words)) == want
+
+
 class TestMaxTrifferent:
     def test_tiny_lengths_with_oracle(self):
         sizes = {}
@@ -255,7 +293,7 @@ class TestMaxRBounded:
         assert cert.config_hash == "7338fa3d74e2d2a9"
         with pytest.raises(ValueError) as err:
             max_r_bounded(14_000, 0, oracle_check=True)
-        assert str(err.value) == "oracle universe size at least 2^14000 exceeds cap 30"
+        assert str(err.value) == "oracle universe size at least 2^14000 exceeds cap 81"
 
     @pytest.mark.parametrize("r", [0, 2, 4])
     def test_budget_below_one_rejected(self, r):
